@@ -44,11 +44,9 @@ from .lemmas import (
     rotation_experiment,
 )
 from .randoms import (
-    RandomModel,
     balanced_bipartite_gnp,
     connected_gnp,
     gnp,
-    random_graph,
     random_regular,
     sample_seed,
 )

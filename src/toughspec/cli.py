@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .graphs import Bipartite, Graph, bipartition_of
 from .lemmas import Lemma, check_lemma_comparison, rotation_experiment
 from .spectra import full_spectrum, spectral_radius
 from .toughness import (
+    ENUMERATION_CAP,
     INFINITE,
     ToughnessKind,
     bipartite_toughness,
@@ -126,8 +128,18 @@ def _add_json_flag(sp):
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_tol_flag(sp):
-    sp.add_argument("--tol", type=float, default=1e-10,
+    sp.add_argument("--tol", type=_tolerance, default=1e-10,
                     help="power iteration residual tolerance")
 
 
@@ -379,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=[f.value for f in Family])
     _add_param_flags(sp)
     _add_json_flag(sp)
-    _add_tol_flag(sp)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("tough", help="exact toughness with a witness cut")
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", default="variation",
                     choices=["toughness", "variation",
                              "bipartite-toughness", "bipartite-variation"])
-    sp.add_argument("--cap", type=int, default=22, help="enumeration size cap")
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="enumeration size cap")
     sp.add_argument("--divisible-only", action="store_true", dest="divisible_only",
                     help="restrict variation cuts to divisibility-compatible ones")
     _add_json_flag(sp)
@@ -429,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("brouwer", help="regular-graph toughness margin t - (d/lambda - 1)")
     _add_io_flags(sp)
-    sp.add_argument("--cap", type=int, default=22)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     _add_json_flag(sp)
     _add_tol_flag(sp)
     sp.set_defaults(func=cmd_brouwer)
@@ -438,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(sp)
     sp.add_argument("--theorem", required=True, choices=[t.value for t in Theorem])
     _add_param_flags(sp)
-    sp.add_argument("--cap", type=int, default=22)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     _add_json_flag(sp)
     _add_tol_flag(sp)
     sp.set_defaults(func=cmd_verify)
@@ -448,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=22)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     _add_json_flag(sp)
     _add_tol_flag(sp)
     sp.set_defaults(func=cmd_search)

@@ -24,6 +24,7 @@ from .graphs import (
     empty,
     empty_bipartite,
     join,
+    vertex_mask,
 )
 
 
@@ -280,10 +281,7 @@ def _split_orientation_fits(g, x_side, y_side, p: int, q: int, a: int, b: int) -
         return False
     if x1 & x2 or y1 & y2:  # degree coincidence would double-count
         return False
-    for u in x1:
-        if set(g.adj[u]) != y1 | y2:
-            return False
-    for u in x2:
-        if set(g.adj[u]) != y1:
-            return False
-    return True
+    y1_mask, y_mask = vertex_mask(y1), vertex_mask(y1 | y2)
+    return all(g.masks[u] == y_mask for u in x1) and all(
+        g.masks[u] == y1_mask for u in x2
+    )

@@ -11,55 +11,108 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices whose bits are set in ``mask``, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with one bit set per vertex."""
+    return sum(1 << v for v in vertices)
+
+
+def component_masks(masks: tuple[int, ...], remaining: int) -> list[int]:
+    """Connected components of the subgraph induced on the vertex set
+    ``remaining``, as bitmasks ordered by their smallest member.
+
+    This is the one component kernel: connectivity checks, component lists
+    and the toughness cut scans all go through it.
+    """
+    comps = []
+    while remaining:
+        comp = frontier = remaining & -remaining  # BFS from lowest unvisited vertex
+        while frontier:
+            reach = 0
+            while frontier:  # each vertex is expanded once, when it is first reached
+                bit = frontier & -frontier
+                frontier ^= bit
+                reach |= masks[bit.bit_length() - 1]
+            frontier = reach & remaining & ~comp
+            comp |= frontier
+        comps.append(comp)
+        remaining &= ~comp
+    return comps
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
-    Adjacency is kept both as sorted neighbor tuples (``adj``) and as
-    per-vertex bitmasks (``masks``); the masks make component counting during
-    cut enumeration cheap.  Instances are value-like: equality and hashing are
-    by (n, adjacency).
+    Adjacency is stored once, as per-vertex neighbour bitmasks: bit w of
+    ``masks[v]`` is set when v and w are adjacent.  Instances are value-like:
+    equality and hashing are by (n, masks).
     """
 
-    __slots__ = ("n", "adj", "masks", "m")
+    __slots__ = ("n", "masks", "m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        sets: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        masks = [0] * n
+        m = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            sets[u].add(v)
-            sets[v].add(u)
+            if masks[u] >> v & 1:
+                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            m += 1
         self.n = n
-        self.adj = tuple(tuple(sorted(s)) for s in sets)
-        self.masks = tuple(sum(1 << w for w in nbrs) for nbrs in self.adj)
-        self.m = len(seen)
+        self.masks = tuple(masks)
+        self.m = m
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: Iterable[int]) -> Graph:
+        """Trusted constructor for builders whose masks are symmetric and loop-free."""
+        g = object.__new__(cls)
+        g.n = n
+        g.masks = tuple(masks)
+        g.m = sum(mask.bit_count() for mask in g.masks) // 2
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, derived from ``masks`` on every access."""
+        return tuple(_members(mask) for mask in self.masks)
+
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adj)
+        return tuple(mask.bit_count() for mask in self.masks)
 
     def min_degree(self) -> int:
         return min(self.degrees())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.masks[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        return [
+            (u, v)
+            for u, mask in enumerate(self.masks)
+            for v in _members(mask >> (u + 1) << (u + 1))
+        ]
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -68,27 +121,10 @@ class Graph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Vertex sets of connected components, ordered by smallest member."""
-        remaining = (1 << self.n) - 1
-        comps = []
-        while remaining:
-            comp = remaining & -remaining  # BFS from lowest unvisited vertex
-            while True:
-                frontier = 0
-                work = comp
-                while work:
-                    bit = work & -work
-                    work ^= bit
-                    frontier |= self.masks[bit.bit_length() - 1]
-                grown = comp | (frontier & remaining)
-                if grown == comp:
-                    break
-                comp = grown
-            comps.append(tuple(v for v in range(self.n) if comp >> v & 1))
-            remaining &= ~comp
-        return comps
+        return [_members(c) for c in component_masks(self.masks, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return len(component_masks(self.masks, (1 << self.n) - 1)) == 1
 
     # -- derived graphs ----------------------------------------------------
 
@@ -97,13 +133,14 @@ class Graph:
         keep = sorted(set(vertices))
         if not keep:
             raise ValueError("induced subgraph needs at least one vertex")
+        if keep[0] < 0 or keep[-1] >= self.n:
+            raise ValueError(f"induced vertices must lie in 0..{self.n - 1}")
         index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges()
-            if u in index and v in index
+        masks = [
+            sum(1 << index[w] for w in _members(self.masks[v]) if w in index)
+            for v in keep
         ]
-        return Graph(len(keep), edges)
+        return Graph._from_masks(len(keep), masks)
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> Graph:
         """Copy with the given edges added; rejects edges already present."""
@@ -131,10 +168,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.n == other.n and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -152,15 +189,18 @@ class SidePartition:
             raise ValueError("sides are not disjoint")
         if self.x | self.y != frozenset(range(g.n)):
             raise ValueError("sides do not cover the vertex set")
-        for u, v in g.edges():
-            if (u in self.x) == (v in self.x):
+        x, y = vertex_mask(self.x), vertex_mask(self.y)
+        for u, nbrs in enumerate(g.masks):
+            # the first vertex with a same-side neighbour starts the
+            # lexicographically first bad edge, so its lowest such neighbour
+            # is the other end
+            same = nbrs & (x if x >> u & 1 else y)
+            if same:
+                v = (same & -same).bit_length() - 1
                 raise ValueError(f"edge ({u}, {v}) does not cross the sides")
 
     def is_balanced(self) -> bool:
         return len(self.x) == len(self.y)
-
-    def side_of(self, v: int) -> str:
-        return "X" if v in self.x else "Y"
 
 
 class Bipartite(NamedTuple):
@@ -179,21 +219,23 @@ def complete(n: int) -> Graph:
     """Complete graph on n >= 1 vertices."""
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    full = (1 << n) - 1
+    return Graph._from_masks(n, [full ^ 1 << v for v in range(n)])
 
 
 def empty(n: int) -> Graph:
     """Edgeless graph on n >= 1 vertices."""
     if n < 1:
         raise ValueError("empty graph needs n >= 1")
-    return Graph(n)
+    return Graph._from_masks(n, [0] * n)
 
 
 def complete_bipartite(p: int, q: int) -> Bipartite:
     """K_{p,q} with side X = 0..p-1 and side Y = p..p+q-1."""
     if p < 1 or q < 1:
         raise ValueError("complete bipartite graph needs p, q >= 1")
-    g = Graph(p + q, [(u, p + v) for u in range(p) for v in range(q)])
+    x, y = (1 << p) - 1, ((1 << q) - 1) << p
+    g = Graph._from_masks(p + q, [y] * p + [x] * q)
     return Bipartite(g, SidePartition(frozenset(range(p)), frozenset(range(p, p + q))))
 
 
@@ -201,7 +243,7 @@ def empty_bipartite(a: int, b: int) -> Bipartite:
     """Edgeless graph on a + b >= 1 vertices with declared sides (a may be 0)."""
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("empty bipartite graph needs a, b >= 0 with a + b >= 1")
-    g = Graph(a + b)
+    g = Graph._from_masks(a + b, [0] * (a + b))
     return Bipartite(g, SidePartition(frozenset(range(a)), frozenset(range(a, a + b))))
 
 
@@ -210,19 +252,20 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
     parts = list(parts)
     if not parts:
         raise ValueError("disjoint union needs at least one part")
-    edges: list[tuple[int, int]] = []
-    offset = 0
+    masks: list[int] = []
     for g in parts:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph(offset, edges)
+        offset = len(masks)
+        masks.extend(mask << offset for mask in g.masks)
+    return Graph._from_masks(len(masks), masks)
+
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Join: disjoint union plus every edge between the two vertex sets."""
-    edges = list(g1.edges())
-    edges.extend((u + g1.n, v + g1.n) for u, v in g2.edges())
-    edges.extend((u, v + g1.n) for u in range(g1.n) for v in range(g2.n))
-    return Graph(g1.n + g2.n, edges)
+    off = g1.n
+    first, second = (1 << off) - 1, ((1 << g2.n) - 1) << off
+    masks = [mask | second for mask in g1.masks]
+    masks.extend(mask << off | first for mask in g2.masks)
+    return Graph._from_masks(off + g2.n, masks)
 
 
 def bipartite_join(b1: Bipartite, b2: Bipartite) -> Bipartite:
@@ -236,57 +279,59 @@ def bipartite_join(b1: Bipartite, b2: Bipartite) -> Bipartite:
     s1.validate_for(g1)
     s2.validate_for(g2)
     off = g1.n
-    edges = list(g1.edges())
-    edges.extend((u + off, v + off) for u, v in g2.edges())
-    edges.extend((u, v + off) for u in s1.x for v in s2.y)
-    edges.extend((u + off, v) for u in s2.x for v in s1.y)
+    x1, y1 = vertex_mask(s1.x), vertex_mask(s1.y)
+    x2, y2 = vertex_mask(s2.x) << off, vertex_mask(s2.y) << off
+    masks = [mask | (y2 if x1 >> u & 1 else x2) for u, mask in enumerate(g1.masks)]
+    masks.extend(
+        mask << off | (y1 if x2 >> (v + off) & 1 else x1)
+        for v, mask in enumerate(g2.masks)
+    )
     sides = SidePartition(
         s1.x | frozenset(u + off for u in s2.x),
         s1.y | frozenset(v + off for v in s2.y),
     )
-    return Bipartite(Graph(off + g2.n, edges), sides)
+    return Bipartite(Graph._from_masks(off + g2.n, masks), sides)
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph._from_masks(n, [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._from_masks(
+        n, [vertex_mask(w for w in (i - 1, i + 1) if 0 <= w < n) for i in range(n)]
+    )
 
 
 def petersen() -> Graph:
     """The Petersen graph: outer 5-cycle 0..4, inner pentagram 5..9."""
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, edges)
+    outer = [1 << (i - 1) % 5 | 1 << (i + 1) % 5 | 1 << 5 + i for i in range(5)]
+    inner = [1 << i | 1 << 5 + (i - 2) % 5 | 1 << 5 + (i + 2) % 5 for i in range(5)]
+    return Graph._from_masks(10, outer + inner)
 
 
 def bipartition_of(g: Graph) -> SidePartition | None:
-    """Two-color g by BFS, or return None if some component has an odd cycle.
+    """Two-color g, or return None if some component has an odd cycle.
 
-    Deterministic: components are explored from their smallest vertex, which
-    is always colored into side X.
+    Deterministic: each component's smallest vertex is colored into side X.
+    The coloring comes from the component kernel run on the bipartite double
+    cover (vertex v split into v and n + v, each edge uv into u-(n + v) and
+    v-(n + u)).  The cover component of a root r holds r's side in its low
+    half and the other side in its high half; the two halves meet exactly when
+    r's component has an odd cycle.
     """
-    color: dict[int, int] = {}
-    for comp in g.components():
-        root = comp[0]
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for w in g.adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return SidePartition(
-        frozenset(v for v in range(g.n) if color.get(v) == 0),
-        frozenset(v for v in range(g.n) if color.get(v) == 1),
-    )
+    n, full = g.n, (1 << g.n) - 1
+    cover = [mask << n for mask in g.masks] + list(g.masks)
+    x = seen = 0
+    for comp in component_masks(cover, (1 << 2 * n) - 1):
+        low, high = comp & full, comp >> n
+        if low & high:
+            return None
+        if not low & seen:  # components come by smallest member: r's is first
+            x |= low
+            seen |= low | high
+    return SidePartition(frozenset(_members(x)), frozenset(_members(full & ~x)))

@@ -10,15 +10,8 @@ graphs.
 from __future__ import annotations
 
 import random
-from enum import Enum
 
 from .graphs import Bipartite, Graph, SidePartition
-
-
-class RandomModel(str, Enum):
-    GNP = "gnp"
-    REGULAR = "regular"
-    BALANCED_BIPARTITE = "balanced-bipartite"
 
 
 def _rng(seed: int | random.Random) -> random.Random:
@@ -90,28 +83,12 @@ def random_regular(
     for _ in range(max_tries):
         rng.shuffle(points)
         edges = set()
-        ok = True
         for k in range(0, len(points), 2):
             u, v = points[k], points[k + 1]
-            if u == v:
-                ok = False
-                break
             key = (u, v) if u < v else (v, u)
-            if key in edges:
-                ok = False
-                break
+            if u == v or key in edges:
+                break  # a loop or a repeated pair: draw a new pairing
             edges.add(key)
-        if ok:
+        else:
             return Graph(n, sorted(edges))
     raise RuntimeError(f"no simple {d}-regular pairing on {n} vertices within {max_tries} tries")
-
-
-def random_graph(model: RandomModel | str, seed: int | random.Random, *, n: int,
-                 p: float = 0.5, d: int = 3) -> Graph | Bipartite:
-    """Dispatch by model name; parameters beyond n default sensibly."""
-    model = RandomModel(model)
-    if model is RandomModel.GNP:
-        return gnp(n, p, seed)
-    if model is RandomModel.BALANCED_BIPARTITE:
-        return balanced_bipartite_gnp(n, p, seed)
-    return random_regular(n, d, seed)

@@ -8,13 +8,14 @@ isolation) so each can certify the other on the extremal families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, vertex_mask
 
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 1_000_000
@@ -44,10 +45,20 @@ class SpectralResult:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
-    return a
+    """Dense 0/1 adjacency matrix, unpacked row by row from the neighbour masks.
+
+    Rows are padded to a multiple of 8 entries and start on 64-byte boundaries:
+    BLAS matrix-vector products run about a quarter slower on rows that do not.
+    """
+    width = (g.n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in g.masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width)
+    bits = np.unpackbits(rows, axis=1, bitorder="little")  # zero-padded to 8 * width
+    buf = np.empty(bits.size + 7)
+    start = -(buf.ctypes.data // 8) % 8  # malloc's offset varies with heap history
+    a = buf[start : start + bits.size].reshape(bits.shape)
+    a[...] = bits
+    return a[:, : g.n]
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
@@ -79,10 +90,12 @@ def spectral_radius(
     """Spectral radius of the adjacency matrix.
 
     Disconnected input is allowed: the radius is the maximum over components
-    and no Perron vector is reported.
+    and no Perron vector is reported.  ``tol`` must be positive and finite.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     comps = g.components()
     if len(comps) == 1:
         lam, x, it, res = _power_iteration(adjacency_matrix(g), tol, max_iter)
@@ -149,7 +162,7 @@ def quotient_matrix(g: Graph, partition: Sequence[Iterable[int]]) -> QuotientMat
     flat = [v for cls in classes for v in cls]
     if len(flat) != g.n or set(flat) != set(range(g.n)):
         raise ValueError("partition must cover the vertex set exactly once")
-    class_masks = [sum(1 << v for v in cls) for cls in classes]
+    class_masks = [vertex_mask(cls) for cls in classes]
     cells = []
     equitable = True
     for cls in classes:

@@ -15,13 +15,13 @@ so results are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, SidePartition
+from .graphs import Graph, SidePartition, component_masks, vertex_mask
 
 INFINITE = math.inf  # sentinel: no disconnecting cut exists
 ENUMERATION_CAP = 22  # full scans are 2^n; anything larger is refused
@@ -54,44 +54,23 @@ def components_after_deletion(g: Graph, cut: Iterable[int]) -> int:
             raise ValueError(f"cut vertex {v} out of range")
     if len(removed) == g.n:
         raise ValueError("cut must not delete every vertex")
-    mask = 0
-    for v in removed:
-        mask |= 1 << v
-    return _component_count(g.masks, (1 << g.n) - 1 & ~mask)
+    return len(component_masks(g.masks, (1 << g.n) - 1 & ~vertex_mask(removed)))
 
 
-def _component_count(masks, remaining: int) -> int:
-    count = 0
-    while remaining:
-        comp = remaining & -remaining
-        while True:
-            frontier = 0
-            work = comp
-            while work:
-                bit = work & -work
-                work ^= bit
-                frontier |= masks[bit.bit_length() - 1]
-            grown = comp | (frontier & remaining)
-            if grown == comp:
-                break
-            comp = grown
-        remaining &= ~comp
-        count += 1
-    return count
-
-
-def _scan_min(g, universe, max_size, shift, divisible_only=False):
+def _scan_min(g, universe, max_size, shift, first_below=None, divisible_only=False):
     """Minimum cut ratio over subsets of ``universe`` up to ``max_size``.
 
-    Returns (best ratio or INFINITE, (cut tuple, components) or None).  Sizes
-    are pruned once even the best case (all remaining vertices isolated)
-    cannot beat the current minimum; within the scanned range the first
-    strict minimizer is kept.
+    Returns (best ratio, witness); the witness is None when no cut beats the
+    starting bound, which is INFINITE or ``first_below``.  Sizes are pruned
+    once even the best case (all remaining vertices isolated) cannot beat the
+    current bound; within the scanned range the first strict minimizer is
+    kept.  With ``first_below`` the scan instead stops at the first cut whose
+    ratio is below it.
     """
     n = g.n
     masks = g.masks
     full = (1 << n) - 1
-    best = INFINITE
+    best = INFINITE if first_below is None else first_below
     witness = None
     for size in range(1, max_size + 1):
         if best is not INFINITE and Fraction(size, n - size - shift) >= best:
@@ -100,17 +79,17 @@ def _scan_min(g, universe, max_size, shift, divisible_only=False):
             cut_mask = 0
             for v in combo:
                 cut_mask |= 1 << v
-            c = _component_count(masks, full & ~cut_mask)
+            c = len(component_masks(masks, full & ~cut_mask))
             if c < 2:
                 continue
-            if divisible_only:
-                d = c - shift
-                if size % d != 0 and d % size != 0:
-                    continue
-            ratio = Fraction(size, c - shift)
-            if ratio < best:
+            d = c - shift
+            ratio = Fraction(size, d)
+            # divisible_only drops cuts where neither |S| nor c - shift divides the other
+            if ratio < best and not (divisible_only and size % d and d % size):
                 best = ratio
-                witness = (combo, c)
+                witness = CutWitness(frozenset(combo), c, ratio)
+                if first_below is not None:
+                    return best, witness
     return best, witness
 
 
@@ -127,17 +106,24 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("toughness is defined for connected graphs only")
 
 
-def toughness(
-    g: Graph, cap: int = ENUMERATION_CAP
-) -> tuple[Fraction | float, CutWitness | None]:
-    """Classical toughness min |S| / c(G-S); INFINITE for complete graphs."""
+def _scan_graph(g, cap, shift, first_below=None, divisible_only=False):
+    """The preamble of the whole-graph quantities, then their scan.
+
+    Complete graphs have no disconnecting cut and report (INFINITE, None)
+    without a scan.
+    """
     _require_connected(g)
     _check_cap(g.n, cap)
     if g.is_complete():
         return INFINITE, None
-    best, raw = _scan_min(g, range(g.n), g.n - 2, shift=0)
-    combo, c = raw
-    return best, CutWitness(frozenset(combo), c, best)
+    return _scan_min(g, range(g.n), g.n - 2, shift, first_below, divisible_only)
+
+
+def toughness(
+    g: Graph, cap: int = ENUMERATION_CAP
+) -> tuple[Fraction | float, CutWitness | None]:
+    """Classical toughness min |S| / c(G-S); INFINITE for complete graphs."""
+    return _scan_graph(g, cap, shift=0)
 
 
 def variation_toughness(
@@ -149,15 +135,7 @@ def variation_toughness(
     divide one another; it is off by default and exists only for exploring
     that restricted notion.
     """
-    _require_connected(g)
-    _check_cap(g.n, cap)
-    if g.is_complete():
-        return INFINITE, None
-    best, raw = _scan_min(g, range(g.n), g.n - 2, shift=1, divisible_only=divisible_only)
-    if raw is None:
-        return INFINITE, None
-    combo, c = raw
-    return best, CutWitness(frozenset(combo), c, best)
+    return _scan_graph(g, cap, shift=1, divisible_only=divisible_only)
 
 
 def is_tau_tough(
@@ -169,27 +147,8 @@ def is_tau_tough(
     which need not be the global minimizer; the verdict is what matters and
     stopping early keeps dense graphs affordable.
     """
-    _require_connected(g)
-    _check_cap(g.n, cap)
-    tau = Fraction(tau)
-    if g.is_complete():
-        return True, None
-    n = g.n
-    full = (1 << n) - 1
-    for size in range(1, n - 1):
-        if Fraction(size, n - size - 1) >= tau:
-            break  # even c = n - size components cannot violate tau
-        for combo in combinations(range(n), size):
-            cut_mask = 0
-            for v in combo:
-                cut_mask |= 1 << v
-            c = _component_count(g.masks, full & ~cut_mask)
-            if c < 2:
-                continue
-            ratio = Fraction(size, c - 1)
-            if ratio < tau:
-                return False, CutWitness(frozenset(combo), c, ratio)
-    return True, None
+    _, witness = _scan_graph(g, cap, shift=1, first_below=Fraction(tau))
+    return witness is None, witness
 
 
 def bipartite_toughness(
@@ -217,9 +176,8 @@ def bipartite_toughness(
         universe = sorted(side)
         if len(universe) < 2:
             continue  # no nonempty proper subset can exist
-        found, raw = _scan_min(g, universe, len(universe) - 1, shift)
+        found, side_witness = _scan_min(g, universe, len(universe) - 1, shift)
         if found < best:
-            combo, c = raw
             best = found
-            witness = CutWitness(frozenset(combo), c, found, side=label)
+            witness = replace(side_witness, side=label)
     return best, witness

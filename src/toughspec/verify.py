@@ -299,10 +299,9 @@ def _sample_matching_graph(t: TheoremId, rng: random.Random) -> Graph:
             v = rng.randrange(n)
             if g.degree(v) < delta:
                 continue
-            keep = set(rng.sample(g.adj[v], delta))
-            pruned = g.without_edges(
-                [(v, w) for w in g.adj[v] if w not in keep]
-            )
+            nbrs = g.adj[v]
+            keep = set(rng.sample(nbrs, delta))
+            pruned = g.without_edges([(v, w) for w in nbrs if w not in keep])
             if pruned.is_connected() and pruned.min_degree() == delta:
                 return pruned
     raise RuntimeError(f"could not sample a graph matching {t} side conditions")

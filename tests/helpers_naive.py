@@ -62,6 +62,17 @@ def naive_min_cut_ratio(n, edges, shift, universe=None, proper=False,
     return best, best_cut
 
 
+def naive_first_violation(n, edges, tau):
+    """First cut S in (size, lexicographic) order with c(G-S) >= 2 and
+    |S| / (c(G-S) - 1) < tau, as (cut tuple, components), or None."""
+    for size in range(1, n - 1):
+        for combo in combinations(range(n), size):
+            c = naive_component_count(n, edges, combo)
+            if c >= 2 and Fraction(size, c - 1) < tau:
+                return combo, c
+    return None
+
+
 def naive_toughness(g):
     return naive_min_cut_ratio(g.n, g.edges(), shift=0)
 

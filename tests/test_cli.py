@@ -440,6 +440,19 @@ class TestUsageAndErrors:
         assert run(["rho", "--family", "tough-int", "--tau", "2"]) == 1
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10", "abc"])
+    @pytest.mark.parametrize("command", ["rho", "remark"])
+    def test_tolerance_must_be_positive_and_finite(self, command, tol, capsys):
+        family = ["--family", "tough-int", "--n", "14", "--tau", "2"]
+        args = [command] + (family if command == "rho" else []) + ["--tol", tol]
+        assert run(args) == 1
+        assert "--tol" in capsys.readouterr().err
+
+    def test_spectrum_takes_no_tolerance(self, capsys):
+        assert run(["spectrum", "--family", "tough-int", "--n", "14", "--tau", "2",
+                    "--tol", "-5"]) == 1
+        assert "--tol" in capsys.readouterr().err
+
     def test_search_without_n_exits_one(self, capsys):
         assert run(["search", "--theorem", "tough-int", "--tau", "2",
                     "--samples", "2"]) == 1

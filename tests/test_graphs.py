@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toughspec.graphs import (
+    Bipartite,
     Graph,
     SidePartition,
     bipartite_join,
@@ -18,6 +19,7 @@ from toughspec.graphs import (
     path,
     petersen,
 )
+from toughspec.families import clique_with_satellites, split_join
 from toughspec.randoms import gnp
 
 from helpers_naive import naive_component_count, relabeled
@@ -135,6 +137,10 @@ class TestConstructors:
 
     def test_petersen_shape(self):
         g = petersen()
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, 5 + i) for i in range(5)]
+        pentagram = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        assert g == Graph(10, outer + spokes + pentagram)
         assert g.n == 10 and g.m == 15
         assert g.degrees() == (3,) * 10
         assert g.is_connected()
@@ -183,10 +189,9 @@ class TestBipartite:
         with pytest.raises(ValueError):
             SidePartition(frozenset({0}), frozenset({2, 3})).validate_for(g)
 
-    def test_side_partition_balance_and_lookup(self):
+    def test_side_partition_balance(self):
         s = SidePartition(frozenset({0, 1}), frozenset({2, 3}))
         assert s.is_balanced()
-        assert s.side_of(0) == "X" and s.side_of(3) == "Y"
         assert not SidePartition(frozenset({0}), frozenset({1, 2})).is_balanced()
 
     def test_bipartition_of_even_cycle(self):
@@ -216,6 +221,95 @@ def test_join_counts_and_relabel_invariance(seed, n1, n2):
     perm = list(range(j.n))[::-1]
     h = relabeled(Graph, j, perm)
     assert sorted(h.degrees()) == sorted(j.degrees())
+
+
+@st.composite
+def edge_lists(draw, max_n=6):
+    """An order n and a list of distinct edges on 0..n-1, in drawn order."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+
+
+def clique_edges(lo, hi):
+    return [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
+
+
+def cross_edges(xs, ys):
+    return [(u, v) for u in xs for v in ys]
+
+
+def assert_built_as(built, n, edges):
+    """``built`` equals the validated Graph(n, edges), read every way."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    assert built == Graph(n, edges)
+    assert built.n == n and built.m == len(edges)
+    assert built.adj == tuple(tuple(sorted(s)) for s in nbrs)
+    assert built.edges() == sorted((min(e), max(e)) for e in edges)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    g1=edge_lists(),
+    g2=edge_lists(),
+    sizes=st.tuples(*[st.integers(1, 5)] * 3, *[st.integers(0, 5)] * 3),
+)
+def test_mask_builders_match_validated_edge_lists(g1, g2, sizes):
+    (n1, e1), (n2, e2) = g1, g2
+    p, q, s, a, b, t = sizes
+    shifted = [(u + n1, v + n1) for u, v in e2]
+    assert_built_as(complete(p), p, clique_edges(0, p))
+    assert_built_as(path(p), p, [(i, i + 1) for i in range(p - 1)])
+    assert_built_as(cycle(p + 2), p + 2, [(i, (i + 1) % (p + 2)) for i in range(p + 2)])
+    assert_built_as(
+        disjoint_union([Graph(n1, e1), Graph(n2, e2), complete(p)]),
+        n1 + n2 + p,
+        e1 + shifted + clique_edges(n1 + n2, n1 + n2 + p),
+    )
+    assert_built_as(
+        join(Graph(n1, e1), Graph(n2, e2)),
+        n1 + n2,
+        e1 + shifted + cross_edges(range(n1), range(n1, n1 + n2)),
+    )
+    kpq = complete_bipartite(p, q)
+    assert_built_as(kpq.graph, p + q, cross_edges(range(p), range(p, p + q)))
+    # a bipartite second operand whose sides interleave: X even, Y odd
+    ex = [(u, v) for u, v in e2 if (u - v) % 2]
+    sides = SidePartition(frozenset(range(0, n2, 2)), frozenset(range(1, n2, 2)))
+    joined = bipartite_join(kpq, Bipartite(Graph(n2, ex), sides))
+    off = p + q
+    x2 = [v + off for v in sides.x]
+    y2 = [v + off for v in sides.y]
+    assert_built_as(
+        joined.graph,
+        off + n2,
+        cross_edges(range(p), range(p, off))
+        + [(u + off, v + off) for u, v in ex]
+        + cross_edges(range(p), y2)
+        + cross_edges(x2, range(p, off)),
+    )
+    assert joined.sides == SidePartition(frozenset(range(p)) | frozenset(x2),
+                                         frozenset(range(p, off)) | frozenset(y2))
+    if a + b:
+        x1, y1 = range(p), range(p, p + q)
+        x2, y2 = range(p + q, p + q + a), range(p + q + a, p + q + a + b)
+        split = split_join(p, q, a, b)
+        assert_built_as(
+            split.graph,
+            p + q + a + b,
+            cross_edges(x1, y1) + cross_edges(x1, y2) + cross_edges(x2, y1),
+        )
+        assert split.sides == SidePartition(frozenset(x1) | frozenset(x2),
+                                            frozenset(y1) | frozenset(y2))
+    assert_built_as(
+        clique_with_satellites(s, p, t),
+        s + p + t,
+        clique_edges(0, s + p) + cross_edges(range(s), range(s + p, s + p + t)),
+    )
 
 
 @settings(deadline=None, max_examples=60)

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from toughspec.graphs import Bipartite
 from toughspec.randoms import (
-    RandomModel,
     balanced_bipartite_gnp,
     connected_gnp,
     gnp,
-    random_graph,
     random_regular,
     sample_seed,
 )
@@ -93,17 +91,3 @@ class TestRandomRegular:
 
     def test_zero_regular(self):
         assert random_regular(5, 0, 0).m == 0
-
-
-class TestDispatch:
-    def test_models(self):
-        assert random_graph(RandomModel.GNP, 5, n=8).n == 8
-        assert random_graph("gnp", 5, n=8) == random_graph(RandomModel.GNP, 5, n=8)
-        b = random_graph("balanced-bipartite", 5, n=8, p=0.4)
-        assert isinstance(b, Bipartite)
-        g = random_graph("regular", 5, n=8, d=3)
-        assert g.degrees() == (3,) * 8
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            random_graph("smallworld", 5, n=8)

@@ -75,6 +75,11 @@ class TestSpectralRadius:
     def test_edgeless(self):
         assert spectral_radius(empty(4)).radius == 0.0
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-10])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            spectral_radius(family_graph(FamilySpec.tough_int(14, 2)), tol=tol)
+
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10**6), n=st.integers(4, 30))
     def test_edge_addition_strictly_increases_radius(self, seed, n):
@@ -267,3 +272,18 @@ class TestLargestRealRoot:
 def test_adjacency_matrix_symmetry():
     a = adjacency_matrix(path(3))
     assert a.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 101])
+def test_adjacency_matrix_rows_start_on_cache_lines(n):
+    # BLAS matrix-vector products slow down on rows that straddle cache
+    # lines, so where the allocator puts the matrix must not decide how long
+    # a power iteration takes
+    g = gnp(n, 0.5, seed=n)
+    a = adjacency_matrix(g)
+    assert a.dtype == np.float64 and a.shape == (n, n) and a.strides[1] == 8
+    assert a.ctypes.data % 64 == 0 and a.strides[0] % 64 == 0
+    want = np.zeros((n, n))
+    for u, v in g.edges():
+        want[u, v] = want[v, u] = 1.0
+    assert np.array_equal(a, want)

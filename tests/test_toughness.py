@@ -29,7 +29,12 @@ from toughspec.toughness import (
     variation_toughness,
 )
 
-from helpers_naive import naive_min_cut_ratio, naive_toughness, naive_variation
+from helpers_naive import (
+    naive_first_violation,
+    naive_min_cut_ratio,
+    naive_toughness,
+    naive_variation,
+)
 
 
 def star(leaves):
@@ -144,6 +149,24 @@ class TestIsTauTough:
     def test_integer_tau_accepted(self):
         assert is_tau_tough(cycle(4), 2)[0]
         assert not is_tau_tough(cycle(4), 3)[0]
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 9),
+        p=st.floats(0.3, 0.9),
+        tau=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]),
+    )
+    def test_witness_is_first_violation_in_enumeration_order(self, seed, n, p, tau):
+        g = connected_gnp(n, p, seed)
+        ok, witness = is_tau_tough(g, tau)
+        first = naive_first_violation(g.n, g.edges(), tau)
+        if first is None:
+            assert ok and witness is None
+        else:
+            cut, c = first
+            assert not ok
+            assert witness == CutWitness(frozenset(cut), c, Fraction(len(cut), c - 1))
 
 
 class TestBipartiteToughness:
