@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .graphs import Graph, bipartition_of
-from .spectra import second_largest_absolute_eigenvalue, spectral_radius
+from .spectra import DEFAULT_TOL, second_largest_absolute_eigenvalue, spectral_radius
 from .toughness import ENUMERATION_CAP, toughness
 
 EQUALITY_SLACK = 1e-7
@@ -67,7 +67,7 @@ def _nosal_equality(g: Graph) -> bool:
     return sides is not None and h.m == len(sides.x) * len(sides.y)
 
 
-def check_bound(g: Graph, bound: Bound | str, tol: float = 1e-10) -> BoundReport:
+def check_bound(g: Graph, bound: Bound | str, tol: float = DEFAULT_TOL) -> BoundReport:
     """Evaluate one spectral upper bound on g and report slack and equality."""
     bound = Bound(bound)
     if g.n < 1:
@@ -100,7 +100,7 @@ class BrouwerReport:
 
 
 def brouwer_margin(
-    g: Graph, cap: int = ENUMERATION_CAP, tol: float = 1e-10
+    g: Graph, cap: int = ENUMERATION_CAP, tol: float = DEFAULT_TOL
 ) -> BrouwerReport:
     """Margin of the toughness-vs-eigenvalue inequality t > d/lambda - 1.
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .families import split_join
 from .graphs import Graph, complete, disjoint_union, join
-from .spectra import spectral_radius
+from .spectra import DEFAULT_TOL, spectral_radius
 
 
 class Lemma(str, Enum):
@@ -136,7 +136,7 @@ def rotation_experiment(
     s1: Iterable[int],
     s2: Iterable[int],
     t: Iterable[int],
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> RotationReport:
     """Rotate the edges between T and S2 over to T and S1 and compare radii.
 

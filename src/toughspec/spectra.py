@@ -61,7 +61,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a[:, : g.n]
 
 
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
+def _power_iteration(a: np.ndarray, tol: float):
     """Largest eigenvalue of the symmetric 0/1 matrix ``a``.
 
     Iterates on a + I: the shift breaks the +/-lambda oscillation on bipartite
@@ -71,7 +71,7 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
     n = a.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
     z = a @ x
-    for it in range(max_iter):
+    for it in range(MAX_ITERATIONS):
         lam = float(x @ z)
         residual = float(np.max(np.abs(z - lam * x)))
         if residual <= tol:
@@ -80,13 +80,11 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
         x = y / np.linalg.norm(y)
         z = a @ x
     raise PowerIterationError(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations"
+        f"power iteration did not reach tol={tol} within {MAX_ITERATIONS} iterations"
     )
 
 
-def spectral_radius(
-    g: Graph, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS
-) -> SpectralResult:
+def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Spectral radius of the adjacency matrix.
 
     Disconnected input is allowed: the radius is the maximum over components
@@ -98,15 +96,13 @@ def spectral_radius(
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     comps = g.components()
     if len(comps) == 1:
-        lam, x, it, res = _power_iteration(adjacency_matrix(g), tol, max_iter)
+        lam, x, it, res = _power_iteration(adjacency_matrix(g), tol)
         return SpectralResult(lam, it, res, x)
     best, iters, worst = 0.0, 0, 0.0
     for comp in comps:
         if len(comp) == 1:
             continue
-        lam, _, it, res = _power_iteration(
-            adjacency_matrix(g.induced(comp)), tol, max_iter
-        )
+        lam, _, it, res = _power_iteration(adjacency_matrix(g.induced(comp)), tol)
         best = max(best, lam)
         iters += it
         worst = max(worst, res)
@@ -222,40 +218,26 @@ def char_poly(q: QuotientMatrix | Sequence[Sequence[Fraction | int]]) -> CharPol
     return CharPoly(tuple(coeffs))
 
 
-def largest_real_root(
-    p: CharPoly,
-    hint_bracket: tuple[float, float] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def largest_real_root(p: CharPoly, tol: float = DEFAULT_TOL) -> float:
     """Largest real root, isolated by a sign-change scan and polished by Newton.
 
-    Scans a descending grid over the Cauchy root bound (or the caller's
-    bracket), bisects the first sign change, then finishes with Newton steps.
-    Raises RootIsolationError when the scan sees no sign change, e.g. when the
-    dominant root has even multiplicity.
+    Scans a descending grid over the Cauchy/Fujiwara root bound, where the
+    monic polynomial is positive, bisects the first sign change, then finishes
+    with Newton steps.  Raises RootIsolationError when the scan sees no sign
+    change, e.g. when the dominant root has even multiplicity.
     """
     coeffs = p.float_coeffs()
-    if hint_bracket is not None:
-        lo, hi = map(float, hint_bracket)
-        if not lo < hi:
-            raise ValueError("hint bracket must satisfy lo < hi")
-    else:
-        # take the tighter of the Cauchy and Fujiwara root bounds: Cauchy
-        # grows with the largest coefficient while Fujiwara grows with the
-        # root size, so the scan grid keeps resolution near the actual roots
-        # even when low-order coefficients are huge
-        lead = abs(coeffs[0])
-        tail = coeffs[1:]
-        cauchy = 1.0 + float(max(abs(c) for c in tail)) / lead
-        fujiwara = 2.0 * max(
-            (abs(c) / lead) ** (1.0 / (k + 1)) for k, c in enumerate(tail)
-        )
-        bound = max(min(cauchy, fujiwara), 1e-6)
-        lo, hi = -bound, bound
+    # take the tighter of the Cauchy and Fujiwara root bounds: Cauchy
+    # grows with the largest coefficient while Fujiwara grows with the
+    # root size, so the scan grid keeps resolution near the actual roots
+    # even when low-order coefficients are huge
+    tail = np.abs(coeffs[1:])  # the leading coefficient is 1
+    cauchy = 1.0 + float(tail.max())
+    fujiwara = 2.0 * max(c ** (1.0 / (k + 1)) for k, c in enumerate(tail))
+    bound = max(min(cauchy, fujiwara), 1e-6)
+    lo, hi = -bound, bound
     grid = np.linspace(hi, lo, 8193)
     values = np.polyval(coeffs, grid)
-    if values[0] < 0:
-        raise RootIsolationError("polynomial is negative at the top of the bracket")
     below = np.nonzero(values <= 0)[0]
     if below.size == 0:
         raise RootIsolationError("no sign change found in scan range")

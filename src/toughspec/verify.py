@@ -20,7 +20,7 @@ from .families import FamilySpec, build_family, family_graph, matches_family
 from .graphio import serialize_graph
 from .graphs import Bipartite, Graph, bipartition_of
 from .randoms import gnp, balanced_bipartite_gnp, sample_seed
-from .spectra import spectral_radius
+from .spectra import DEFAULT_TOL, spectral_radius
 from .toughness import (
     ENUMERATION_CAP,
     CutWitness,
@@ -124,7 +124,7 @@ def _threshold_detail(t: TheoremId, tol: float) -> tuple[float, FamilySpec]:
 
 
 def threshold(
-    t: TheoremId, tol: float = 1e-10
+    t: TheoremId, tol: float = DEFAULT_TOL
 ) -> tuple[float, Graph | Bipartite]:
     """Spectral threshold of a theorem and the extremal graph attaining it."""
     rho, spec = _threshold_detail(t, tol)
@@ -135,7 +135,7 @@ def check_graph_against_theorem(
     g: Graph,
     t: TheoremId,
     cap: int = ENUMERATION_CAP,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Classify g under the theorem's trichotomy.
 
@@ -196,7 +196,7 @@ class CandidateRow:
 CANDIDATE_TABLE_CASES = ((3, 38), (10, 270), (10, 402))
 
 
-def candidate_comparison(tol: float = 1e-10) -> list[CandidateRow]:
+def candidate_comparison(tol: float = DEFAULT_TOL) -> list[CandidateRow]:
     """Radii of both extremal candidates at the published sample sizes.
 
     Shows that neither candidate dominates: the winner flips as n grows for
@@ -312,7 +312,7 @@ def search_counterexamples(
     samples: int,
     seed: int,
     cap: int = ENUMERATION_CAP,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> SearchReport:
     """Check ``samples`` random side-condition-matching graphs against t.
 

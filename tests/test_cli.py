@@ -12,12 +12,13 @@ import math
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from toughspec.bounds import BrouwerReport
-from toughspec.cli import build_parser, run
+from toughspec.cli import _num, build_parser, run
 from toughspec.families import FamilySpec, build_family, family_graph, matches_family
 from toughspec.graphio import GraphFormat, parse_graph, serialize_graph
 from toughspec.graphs import complete, complete_bipartite, cycle, empty, join, path, petersen
@@ -95,6 +96,12 @@ class TestSpectrum:
         lines = capsys.readouterr().out.splitlines()
         assert all(NINE_DECIMALS.fullmatch(line) for line in lines)
         assert [float(line) for line in lines] == pytest.approx([1.0, -1.0], abs=1e-9)
+
+    def test_zero_eigenvalues_print_without_sign(self, capsys, graph_file):
+        assert run(["spectrum", "--in", graph_file(complete_bipartite(3, 3).graph)]) == 0
+        assert capsys.readouterr().out.splitlines() == (
+            ["3.000000000"] + ["0.000000000"] * 4 + ["-3.000000000"]
+        )
 
     def test_json_is_descending_and_complete(self, capsys, graph_file):
         assert run(["spectrum", "--in", graph_file(petersen()), "--json"]) == 0
@@ -187,6 +194,23 @@ class TestBounds:
         assert {line.split(":")[0] for line in lines} == {"hong", "degree", "nosal"}
         assert all("slack=" in line and "equality=" in line for line in lines)
 
+    @pytest.mark.parametrize("g, expected", [
+        (path(4), [
+            "hong: rho=1.618033989 bound=1.732050808 slack=1.140e-01 equality=false",
+            "degree: rho=1.618033989 bound=1.732050808 slack=1.140e-01 equality=false",
+            "nosal: rho=1.618033989 bound=1.732050808 slack=1.140e-01 equality=false",
+        ]),
+        # the degree bound is attained: its rounding-noise slack prints as zero
+        (cycle(6), [
+            "hong: rho=2.000000000 bound=2.645751311 slack=6.458e-01 equality=false",
+            "degree: rho=2.000000000 bound=2.000000000 slack=0.000e+00 equality=true",
+            "nosal: rho=2.000000000 bound=2.449489743 slack=4.495e-01 equality=false",
+        ]),
+    ], ids=["path4", "cycle6"])
+    def test_exact_lines(self, g, expected, capsys, graph_file):
+        assert run(["bounds", "--in", graph_file(g)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_single_bound_json(self, capsys, graph_file):
         assert run(["bounds", "--in", graph_file(complete(5)),
                     "--bound", "hong", "--json"]) == 0
@@ -210,6 +234,15 @@ class TestLemma:
         out = capsys.readouterr().out
         assert out.startswith("clique-concentration: rho_left=")
         assert out.rstrip().endswith("holds=true")
+
+    def test_clique_concentration_exact_line(self, capsys):
+        code = run(["lemma", "--lemma", "clique-concentration",
+                    "--s", "2", "--p", "1", "--parts", "4,4,2"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "clique-concentration: rho_left=6.418550719 rho_right=9.091177764 "
+            "holds=true\n"
+        )
 
     def test_bipartite_monotone_json(self, capsys):
         code = run(["lemma", "--lemma", "bipartite-monotone",
@@ -258,6 +291,15 @@ class TestRotate:
         assert before == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-8)
         assert after == pytest.approx(math.sqrt(3), abs=1e-8)
 
+    def test_path_rotation_exact_line(self, capsys, graph_file):
+        code = run(["rotate", "--in", graph_file(path(4)),
+                    "--s1", "2", "--s2", "1", "--t", "0"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "rho_before=1.618033989 rho_after=1.732050808 "
+            "sum_s1=0.601500955 sum_s2=0.601500955\n"
+        )
+
     def test_json_fields(self, capsys, graph_file):
         code = run(["rotate", "--in", graph_file(path(4)),
                     "--s1", "2", "--s2", "1", "--t", "0", "--json"])
@@ -291,6 +333,10 @@ class TestBrouwer:
         assert match.group(2) == "3"
         assert float(match.group(3)) == pytest.approx(2.0, abs=1e-8)
         assert float(match.group(4)) == pytest.approx(5 / 6, abs=1e-8)
+
+    def test_petersen_exact_line(self, capsys, graph_file):
+        assert run(["brouwer", "--in", graph_file(petersen())]) == 0
+        assert capsys.readouterr().out == "t=4/3 d=3 lambda=2.000000000 margin=0.833333333\n"
 
     def test_json_fields(self, capsys, graph_file):
         assert run(["brouwer", "--in", graph_file(cycle(6)), "--json"]) == 0
@@ -422,6 +468,97 @@ class TestRemark:
         first = capsys.readouterr().out
         assert run(["remark"]) == 0
         assert first == capsys.readouterr().out
+
+
+def json_float_texts(captured: str) -> list[str]:
+    """Every float in captured json, exactly as printed."""
+    texts = []
+    json.loads(captured, parse_float=lambda text: texts.append(text) or float(text))
+    return texts
+
+
+class TestNumberFormat:
+    """One number formatter: 9 decimals, no negative zero, text and json agree."""
+
+    @staticmethod
+    def argv(command, graph_file):
+        if command == "rho":
+            return ["rho", "--family", "bip-frac", "--n", "16", "--r-inv", "2"]
+        if command == "spectrum":
+            return ["spectrum", "--in", graph_file(complete_bipartite(3, 3).graph)]
+        if command == "bounds":
+            return ["bounds", "--in", graph_file(cycle(6))]
+        if command == "brouwer":
+            return ["brouwer", "--in", graph_file(petersen())]
+        if command == "verify":
+            target = graph_file(family_graph(FamilySpec.tough_int(14, 2)))
+            return ["verify", "--in", target, "--theorem", "tough-int", "--tau", "2"]
+        if command == "search":
+            return ["search", "--theorem", "tough-int", "--n", "14", "--tau", "2"]
+        return [command]
+
+    def test_negative_zero_renders_as_zero(self):
+        assert f"{_num(-5e-16):.9f}" == "0.000000000"
+        assert math.copysign(1.0, _num(-5e-16)) == 1.0
+        assert _num(12.006444911678292) == 12.006444912
+
+    @pytest.mark.parametrize("command", [
+        "rho", "spectrum", "bounds", "brouwer", "verify", "search", "remark",
+    ])
+    def test_json_floats_have_at_most_nine_decimals(
+        self, command, capsys, graph_file, monkeypatch
+    ):
+        if command == "search":  # a real search finds no counterexample to print
+            verdict = Verdict(VerdictStatus.COUNTEREXAMPLE, 3.0000000000000004,
+                              2.4999999999990000, None)
+            report = SearchReport(
+                theorem=TheoremId(Theorem.TOUGH_INT, 14, tau=2), seed=0, checked=1,
+                counterexamples=[CounterexampleRecord(cycle(6), verdict)],
+            )
+            monkeypatch.setattr(
+                "toughspec.cli.search_counterexamples", lambda *a, **k: report
+            )
+        assert run(self.argv(command, graph_file) + ["--json"]) in (0, 2)
+        texts = json_float_texts(capsys.readouterr().out)
+        assert texts
+        for text in texts:
+            assert text != "-0.0"
+            assert Decimal(text).as_tuple().exponent >= -9, text
+
+    # text field -> (json field, text format), per line and json entry
+    FIELDS = {
+        "bounds": {"rho": ("rho", ".9f"), "bound": ("value", ".9f"),
+                   "slack": ("slack", ".3e")},
+        "brouwer": {"lambda": ("lambda", ".9f"), "margin": ("margin", ".9f")},
+        "verify": {"rho": ("rho", ".9f"), "threshold": ("threshold", ".9f")},
+    }
+
+    @pytest.mark.parametrize("command", ["rho", "bounds", "brouwer", "verify", "remark"])
+    def test_text_numbers_are_json_numbers_at_text_precision(
+        self, command, capsys, graph_file
+    ):
+        argv = self.argv(command, graph_file)
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        assert run(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if command == "rho":
+            pairs = [(text.strip(), payload["rho"], ".9f")]
+        elif command == "remark":
+            rows = [line.split() for line in text.splitlines()[1:]]
+            pairs = [(row[column], entry[key], ".6f")
+                     for row, entry in zip(rows, payload["rows"])
+                     for column, key in ((2, "rho_a"), (3, "rho_b"))]
+        else:
+            entries = payload if isinstance(payload, list) else [payload]
+            pairs = []
+            for line, entry in zip(text.splitlines(), entries):
+                fields = dict(re.findall(r"(\w+)=(\S+)", line))
+                pairs += [(fields[name], entry[key], spec)
+                          for name, (key, spec) in self.FIELDS[command].items()]
+        assert len(pairs) >= 2 or command == "rho"
+        for printed, value, spec in pairs:
+            assert printed == format(value, spec)
 
 
 class TestUsageAndErrors:

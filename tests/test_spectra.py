@@ -245,15 +245,6 @@ class TestLargestRealRoot:
         with pytest.raises(RootIsolationError):
             largest_real_root(p)
 
-    def test_hint_bracket(self):
-        p = CharPoly((Fraction(1), Fraction(0), Fraction(-2)))
-        assert largest_real_root(p, hint_bracket=(1.0, 2.0)) \
-            == pytest.approx(math.sqrt(2), abs=1e-12)
-        with pytest.raises(ValueError):
-            largest_real_root(p, hint_bracket=(2.0, 1.0))
-        with pytest.raises(RootIsolationError):
-            largest_real_root(p, hint_bracket=(-10.0, 0.0))
-
     @pytest.mark.parametrize("spec", [
         FamilySpec.tough_int(14, 2),
         FamilySpec.tough_frac_delta(16, 1, 2),
