@@ -14,8 +14,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .graphs import Graph, bipartition_of
-from .spectra import DEFAULT_TOL, second_largest_absolute_eigenvalue, spectral_radius
-from .toughness import ENUMERATION_CAP, toughness
+from .spectra import second_largest_absolute_eigenvalue, spectral_radius
+from .toughness import toughness
 
 EQUALITY_SLACK = 1e-7
 
@@ -67,7 +67,7 @@ def _nosal_equality(g: Graph) -> bool:
     return sides is not None and h.m == len(sides.x) * len(sides.y)
 
 
-def check_bound(g: Graph, bound: Bound | str, tol: float = DEFAULT_TOL) -> BoundReport:
+def check_bound(g: Graph, bound: Bound | str) -> BoundReport:
     """Evaluate one spectral upper bound on g and report slack and equality."""
     bound = Bound(bound)
     if g.n < 1:
@@ -84,7 +84,7 @@ def check_bound(g: Graph, bound: Bound | str, tol: float = DEFAULT_TOL) -> Bound
             raise ValueError("bound applies to bipartite graphs only")
         rhs = math.sqrt(g.m)
         structural = _nosal_equality(g)
-    lhs = spectral_radius(g, tol=tol).radius
+    lhs = spectral_radius(g).radius
     slack = rhs - lhs
     return BoundReport(bound, lhs, rhs, slack, slack <= EQUALITY_SLACK and structural)
 
@@ -99,9 +99,7 @@ class BrouwerReport:
     margin: float
 
 
-def brouwer_margin(
-    g: Graph, cap: int = ENUMERATION_CAP, tol: float = DEFAULT_TOL
-) -> BrouwerReport:
+def brouwer_margin(g: Graph) -> BrouwerReport:
     """Margin of the toughness-vs-eigenvalue inequality t > d/lambda - 1.
 
     The toughness term is exact (enumeration); lambda is the second largest
@@ -116,8 +114,7 @@ def brouwer_margin(
     if g.is_complete():
         raise ValueError("complete graphs have infinite toughness; margin undefined")
     d = g.degrees()[0]
-    t, _ = toughness(g, cap=cap)
+    t, _ = toughness(g)
+    # lam >= 1: the other eigenvalues' squares sum to d(n - d) >= n - 1
     lam = second_largest_absolute_eigenvalue(g)
-    if lam <= tol:
-        raise ValueError("second eigenvalue vanishes; margin undefined")
     return BrouwerReport(t, d, lam, float(t) - (d / lam - 1.0))

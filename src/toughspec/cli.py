@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -23,9 +22,8 @@ from .families import Family, FamilySpec, family_graph
 from .graphio import GraphFormat, parse_graph, serialize_graph
 from .graphs import Graph, bipartition_of
 from .lemmas import Lemma, check_lemma_comparison, rotation_experiment
-from .spectra import DEFAULT_TOL, full_spectrum, spectral_radius
+from .spectra import full_spectrum, spectral_radius
 from .toughness import (
-    ENUMERATION_CAP,
     INFINITE,
     ToughnessKind,
     bipartite_toughness,
@@ -116,16 +114,6 @@ def _theorem_id(ns, default_n: int | None = None) -> TheoremId:
     return TheoremId(Theorem(ns.theorem), n, **_levels(ns))
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
 def _int_list(text: str, flag: str, items: str = "vertices") -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x]
@@ -139,7 +127,7 @@ def _int_list(text: str, flag: str, items: str = "vertices") -> list[int]:
 
 
 def cmd_rho(ns):
-    result = spectral_radius(_graph(ns), tol=ns.tol)
+    result = spectral_radius(_graph(ns))
     payload = {
         "rho": result.radius,
         "iterations": result.iterations,
@@ -156,16 +144,16 @@ def cmd_spectrum(ns):
 def cmd_tough(ns):
     g = _graph(ns)
     if ns.kind == "toughness":
-        value, witness = toughness(g, cap=ns.cap)
+        value, witness = toughness(g)
     elif ns.kind == "variation":
-        value, witness = variation_toughness(g, cap=ns.cap, divisible_only=ns.divisible_only)
+        value, witness = variation_toughness(g, divisible_only=ns.divisible_only)
     else:
         sides = bipartition_of(g)
         if sides is None:
             raise UsageError("one-sided toughness needs a bipartite graph")
         tk = (ToughnessKind.TOUGHNESS if ns.kind == "bipartite-toughness"
               else ToughnessKind.VARIATION)
-        value, witness = bipartite_toughness(g, sides, tk, cap=ns.cap)
+        value, witness = bipartite_toughness(g, sides, tk)
     lines = [f"{ns.kind} = {_ratio_str(value)}"]
     if witness is not None:
         side = f" side={witness.side}" if witness.side else ""
@@ -181,7 +169,7 @@ def cmd_construct(ns):
 def cmd_bounds(ns):
     g = _graph(ns)
     names = [Bound(ns.bound)] if ns.bound != "all" else list(Bound)
-    reports = [check_bound(g, bound, tol=ns.tol) for bound in names]
+    reports = [check_bound(g, bound) for bound in names]
     payload = [
         {
             "bound": rep.bound.value,
@@ -225,7 +213,6 @@ def cmd_rotate(ns):
         _int_list(ns.s1, "--s1"),
         _int_list(ns.s2, "--s2"),
         _int_list(ns.t, "--t"),
-        tol=ns.tol,
     )
     line = (
         f"rho_before={_num(report.rho_before):.9f} rho_after={_num(report.rho_after):.9f} "
@@ -236,7 +223,7 @@ def cmd_rotate(ns):
 
 
 def cmd_brouwer(ns):
-    report = brouwer_margin(_graph(ns), cap=ns.cap, tol=ns.tol)
+    report = brouwer_margin(_graph(ns))
     t = _ratio_str(report.t)
     payload = {"t": t, "d": report.d, "lambda": report.lam, "margin": report.margin}
     line = f"t={t} d={report.d} lambda={_num(report.lam):.9f} margin={_num(report.margin):.9f}"
@@ -245,9 +232,7 @@ def cmd_brouwer(ns):
 
 def cmd_verify(ns):
     g = _graph(ns)
-    verdict = check_graph_against_theorem(
-        g, _theorem_id(ns, default_n=g.n), cap=ns.cap, tol=ns.tol
-    )
+    verdict = check_graph_against_theorem(g, _theorem_id(ns, default_n=g.n))
     payload = {
         "status": verdict.status.value,
         "rho": verdict.rho,
@@ -267,9 +252,7 @@ def cmd_verify(ns):
 
 
 def cmd_search(ns):
-    report = search_counterexamples(
-        _theorem_id(ns), ns.samples, ns.seed, cap=ns.cap, tol=ns.tol
-    )
+    report = search_counterexamples(_theorem_id(ns), ns.samples, ns.seed)
     line = (
         f"checked={report.checked} below={report.below} tough={report.tough} "
         f"extremal={report.extremal} counterexamples={len(report.counterexamples)}"
@@ -278,7 +261,7 @@ def cmd_search(ns):
 
 
 def cmd_remark(ns):
-    rows = candidate_comparison(tol=ns.tol)
+    rows = candidate_comparison()
     lines = ["r    n    rho_a        rho_b        winner"] + [
         f"{row.r:<4d} {row.n:<4d} {_num(row.rho_a):<12.6f} "
         f"{_num(row.rho_b):<12.6f} {row.winner}"
@@ -318,10 +301,7 @@ GROUPS = {
             for name, text in LEVEL_PARAMS),
     "format": (_arg("--format", **_FORMAT_ARGS),),  # construct's, without help text
     "samples": (_arg("--samples", type=int, default=100), _arg("--seed", type=int, default=0)),
-    "cap": (_arg("--cap", type=int, default=ENUMERATION_CAP),),
     "json": (_arg("--json", action="store_true", help="machine-readable output"),),
-    "tol": (_arg("--tol", type=_tolerance, default=DEFAULT_TOL,
-                 help="power iteration residual tolerance"),),
 }
 
 
@@ -336,13 +316,12 @@ class Command(NamedTuple):
 
 COMMANDS = (
     Command("rho", cmd_rho, "spectral radius of a graph or family",
-            "in-or-family", groups=("params", "json", "tol")),
+            "in-or-family", groups=("params", "json")),
     Command("spectrum", cmd_spectrum, "all adjacency eigenvalues, descending",
             "in-or-family", groups=("params", "json")),
     Command("tough", cmd_tough, "exact toughness with a witness cut", "in", (
         _arg("--kind", default="variation", choices=[
             "toughness", "variation", "bipartite-toughness", "bipartite-variation"]),
-        _arg("--cap", type=int, default=ENUMERATION_CAP, help="enumeration size cap"),
         _arg("--divisible-only", action="store_true",
              help="restrict variation cuts to divisibility-compatible ones"),
     ), ("json",)),
@@ -350,7 +329,7 @@ COMMANDS = (
             (_arg("--family", required=True, choices=_FAMILIES),), ("params", "format")),
     Command("bounds", cmd_bounds, "spectral upper bounds and slack", "in",
             (_arg("--bound", default="all", choices=[b.value for b in Bound] + ["all"]),),
-            ("json", "tol")),
+            ("json",)),
     Command("lemma", cmd_lemma, "strict spectral comparison between families", None, (
         _arg("--lemma", required=True, choices=[lemma.value for lemma in Lemma]),
         _arg("--s", type=int),
@@ -363,16 +342,16 @@ COMMANDS = (
         _arg("--s1", required=True, help="gaining vertex set, comma-separated"),
         _arg("--s2", required=True, help="losing vertex set, comma-separated"),
         _arg("--t", required=True, help="pivot vertex set, comma-separated"),
-    ), ("json", "tol")),
+    ), ("json",)),
     Command("brouwer", cmd_brouwer, "regular-graph toughness margin t - (d/lambda - 1)",
-            "in", groups=("cap", "json", "tol")),
+            "in", groups=("json",)),
     Command("verify", cmd_verify, "classify a graph under a theorem", "in",
-            (_THEOREM,), ("params", "cap", "json", "tol")),
+            (_THEOREM,), ("params", "json")),
     Command("search", cmd_search, "randomized counterexample search", None,
-            (_THEOREM,), ("params", "samples", "cap", "json", "tol")),
+            (_THEOREM,), ("params", "samples", "json")),
     Command("remark", cmd_remark,
             "radii of both indivisible-case candidates at the published sizes",
-            groups=("json", "tol")),
+            groups=("json",)),
 )
 
 

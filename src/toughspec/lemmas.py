@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .families import split_join
 from .graphs import Graph, complete, disjoint_union, join
-from .spectra import DEFAULT_TOL, spectral_radius
+from .spectra import spectral_radius
 
 
 class Lemma(str, Enum):
@@ -136,7 +136,6 @@ def rotation_experiment(
     s1: Iterable[int],
     s2: Iterable[int],
     t: Iterable[int],
-    tol: float = DEFAULT_TOL,
 ) -> RotationReport:
     """Rotate the edges between T and S2 over to T and S1 and compare radii.
 
@@ -159,12 +158,12 @@ def rotation_experiment(
         raise ValueError("t must have no edges into s1")
     if not all(g.has_edge(u, v) for u in sett for v in set2):
         raise ValueError("t must be completely joined to s2")
-    before = spectral_radius(g, tol=tol)
+    before = spectral_radius(g)
     x = before.perron
     rotated = g.without_edges(
         [(u, v) for u in sett for v in set2]
     ).with_edges([(u, v) for u in sett for v in set1])
-    after = spectral_radius(rotated, tol=tol)
+    after = spectral_radius(rotated)
     return RotationReport(
         before.radius,
         after.radius,

@@ -13,6 +13,9 @@ import random
 
 from .graphs import Bipartite, Graph, SidePartition
 
+_CONNECTED_TRIES = 10_000  # rejection draws before connected_gnp gives up
+_PAIRING_TRIES = 5_000  # pairings before random_regular gives up
+
 
 def _rng(seed: int | random.Random) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -39,16 +42,14 @@ def gnp(n: int, p: float, seed: int | random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def connected_gnp(
-    n: int, p: float, seed: int | random.Random, max_tries: int = 10_000
-) -> Graph:
+def connected_gnp(n: int, p: float, seed: int | random.Random) -> Graph:
     """G(n, p) conditioned on connectivity by rejection."""
     rng = _rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_CONNECTED_TRIES):
         g = gnp(n, p, rng)
         if g.is_connected():
             return g
-    raise RuntimeError(f"no connected G({n}, {p}) sample within {max_tries} tries")
+    raise RuntimeError(f"no connected G({n}, {p}) sample within {_CONNECTED_TRIES} tries")
 
 
 def balanced_bipartite_gnp(n: int, p: float, seed: int | random.Random) -> Bipartite:
@@ -70,9 +71,7 @@ def balanced_bipartite_gnp(n: int, p: float, seed: int | random.Random) -> Bipar
     return Bipartite(g, sides)
 
 
-def random_regular(
-    n: int, d: int, seed: int | random.Random, max_tries: int = 5_000
-) -> Graph:
+def random_regular(n: int, d: int, seed: int | random.Random) -> Graph:
     """Random d-regular graph by the pairing model with simple-graph rejection."""
     if n < 1 or d < 0 or d >= n:
         raise ValueError("regular model needs 0 <= d < n")
@@ -80,7 +79,7 @@ def random_regular(
         raise ValueError("regular model needs n*d even")
     rng = _rng(seed)
     points = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_tries):
+    for _ in range(_PAIRING_TRIES):
         rng.shuffle(points)
         edges = set()
         for k in range(0, len(points), 2):
@@ -91,4 +90,6 @@ def random_regular(
             edges.add(key)
         else:
             return Graph(n, sorted(edges))
-    raise RuntimeError(f"no simple {d}-regular pairing on {n} vertices within {max_tries} tries")
+    raise RuntimeError(
+        f"no simple {d}-regular pairing on {n} vertices within {_PAIRING_TRIES} tries"
+    )

@@ -8,7 +8,6 @@ isolation) so each can certify the other on the extremal families.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -17,7 +16,7 @@ import numpy as np
 
 from .graphs import Graph, vertex_mask
 
-DEFAULT_TOL = 1e-10
+RADIUS_TOL = 1e-10  # power-iteration residual; also scales the Newton stop
 MAX_ITERATIONS = 1_000_000
 DENSE_CAP = 1000
 
@@ -61,7 +60,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a[:, : g.n]
 
 
-def _power_iteration(a: np.ndarray, tol: float):
+def _power_iteration(a: np.ndarray):
     """Largest eigenvalue of the symmetric 0/1 matrix ``a``.
 
     Iterates on a + I: the shift breaks the +/-lambda oscillation on bipartite
@@ -74,47 +73,45 @@ def _power_iteration(a: np.ndarray, tol: float):
     for it in range(MAX_ITERATIONS):
         lam = float(x @ z)
         residual = float(np.max(np.abs(z - lam * x)))
-        if residual <= tol:
+        if residual <= RADIUS_TOL:
             return lam, x, it, residual
         y = z + x
         x = y / np.linalg.norm(y)
         z = a @ x
     raise PowerIterationError(
-        f"power iteration did not reach tol={tol} within {MAX_ITERATIONS} iterations"
+        f"power iteration did not reach tol={RADIUS_TOL} within {MAX_ITERATIONS} iterations"
     )
 
 
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
+def spectral_radius(g: Graph) -> SpectralResult:
     """Spectral radius of the adjacency matrix.
 
     Disconnected input is allowed: the radius is the maximum over components
-    and no Perron vector is reported.  ``tol`` must be positive and finite.
+    and no Perron vector is reported.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
     comps = g.components()
     if len(comps) == 1:
-        lam, x, it, res = _power_iteration(adjacency_matrix(g), tol)
+        lam, x, it, res = _power_iteration(adjacency_matrix(g))
         return SpectralResult(lam, it, res, x)
     best, iters, worst = 0.0, 0, 0.0
     for comp in comps:
         if len(comp) == 1:
             continue
-        lam, _, it, res = _power_iteration(adjacency_matrix(g.induced(comp)), tol)
+        lam, _, it, res = _power_iteration(adjacency_matrix(g.induced(comp)))
         best = max(best, lam)
         iters += it
         worst = max(worst, res)
     return SpectralResult(best, iters, worst, None)
 
 
-def full_spectrum(g: Graph, cap: int = DENSE_CAP) -> list[float]:
+def full_spectrum(g: Graph) -> list[float]:
     """All adjacency eigenvalues in nonincreasing order (dense solve)."""
     if g.n < 1:
         raise ValueError("spectrum needs at least one vertex")
-    if g.n > cap:
-        raise ValueError(f"dense spectrum capped at n <= {cap}, got n={g.n}")
+    if g.n > DENSE_CAP:
+        raise ValueError(f"dense spectrum capped at n <= {DENSE_CAP}, got n={g.n}")
     eigenvalues = np.linalg.eigvalsh(adjacency_matrix(g))
     return [float(v) for v in eigenvalues[::-1]]
 
@@ -218,7 +215,7 @@ def char_poly(q: QuotientMatrix | Sequence[Sequence[Fraction | int]]) -> CharPol
     return CharPoly(tuple(coeffs))
 
 
-def largest_real_root(p: CharPoly, tol: float = DEFAULT_TOL) -> float:
+def largest_real_root(p: CharPoly) -> float:
     """Largest real root, isolated by a sign-change scan and polished by Newton.
 
     Scans a descending grid over the Cauchy/Fujiwara root bound, where the
@@ -265,6 +262,6 @@ def largest_real_root(p: CharPoly, tol: float = DEFAULT_TOL) -> float:
             break
         step = fx / dfx
         x -= step
-        if abs(step) <= tol * 1e-3 * max(1.0, abs(x)):
+        if abs(step) <= RADIUS_TOL * 1e-3 * max(1.0, abs(x)):
             break
     return x

@@ -93,11 +93,11 @@ def _scan_min(g, universe, max_size, shift, first_below=None, divisible_only=Fal
     return best, witness
 
 
-def _check_cap(size: int, cap: int) -> None:
-    if size > cap:
+def _check_cap(size: int) -> None:
+    if size > ENUMERATION_CAP:
         raise ValueError(
-            f"cut enumeration over {size} vertices exceeds cap {cap}; "
-            "raise cap explicitly if you really want 2^n subsets"
+            f"cut enumeration over {size} vertices exceeds the cap of "
+            f"{ENUMERATION_CAP} (2^n subsets)"
         )
 
 
@@ -106,28 +106,27 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("toughness is defined for connected graphs only")
 
 
-def _scan_graph(g, cap, shift, first_below=None, divisible_only=False):
+def _scan_graph(g, shift, first_below=None, divisible_only=False):
     """The preamble of the whole-graph quantities, then their scan.
 
-    Complete graphs have no disconnecting cut and report (INFINITE, None)
-    without a scan.
+    The cap is checked before connectivity, whose search is itself superlinear
+    in n.  Complete graphs have no disconnecting cut and report
+    (INFINITE, None) without a scan.
     """
+    _check_cap(g.n)
     _require_connected(g)
-    _check_cap(g.n, cap)
     if g.is_complete():
         return INFINITE, None
     return _scan_min(g, range(g.n), g.n - 2, shift, first_below, divisible_only)
 
 
-def toughness(
-    g: Graph, cap: int = ENUMERATION_CAP
-) -> tuple[Fraction | float, CutWitness | None]:
+def toughness(g: Graph) -> tuple[Fraction | float, CutWitness | None]:
     """Classical toughness min |S| / c(G-S); INFINITE for complete graphs."""
-    return _scan_graph(g, cap, shift=0)
+    return _scan_graph(g, shift=0)
 
 
 def variation_toughness(
-    g: Graph, cap: int = ENUMERATION_CAP, divisible_only: bool = False
+    g: Graph, divisible_only: bool = False
 ) -> tuple[Fraction | float, CutWitness | None]:
     """Variation toughness min |S| / (c(G-S) - 1); INFINITE for complete graphs.
 
@@ -135,19 +134,17 @@ def variation_toughness(
     divide one another; it is off by default and exists only for exploring
     that restricted notion.
     """
-    return _scan_graph(g, cap, shift=1, divisible_only=divisible_only)
+    return _scan_graph(g, shift=1, divisible_only=divisible_only)
 
 
-def is_tau_tough(
-    g: Graph, tau: Fraction | int, cap: int = ENUMERATION_CAP
-) -> tuple[bool, CutWitness | None]:
+def is_tau_tough(g: Graph, tau: Fraction | int) -> tuple[bool, CutWitness | None]:
     """Whether every disconnecting cut satisfies |S| >= tau * (c(G-S) - 1).
 
     On failure the witness is the first violating cut in enumeration order,
     which need not be the global minimizer; the verdict is what matters and
     stopping early keeps dense graphs affordable.
     """
-    _, witness = _scan_graph(g, cap, shift=1, first_below=Fraction(tau))
+    _, witness = _scan_graph(g, shift=1, first_below=Fraction(tau))
     return witness is None, witness
 
 
@@ -155,7 +152,6 @@ def bipartite_toughness(
     g: Graph,
     sides: SidePartition,
     kind: ToughnessKind = ToughnessKind.VARIATION,
-    cap: int = ENUMERATION_CAP,
 ) -> tuple[Fraction | float, CutWitness | None]:
     """One-sided toughness: cuts range over proper subsets of a single side.
 
@@ -163,13 +159,13 @@ def bipartite_toughness(
     witness records which side its cut came from.  The VARIATION kind uses
     denominator c(G-S) - 1 and requires a balanced bipartition.
     """
+    _check_cap(max(len(sides.x), len(sides.y)))
     _require_connected(g)
     sides.validate_for(g)
     kind = ToughnessKind(kind)
     shift = 1 if kind is ToughnessKind.VARIATION else 0
     if kind is ToughnessKind.VARIATION and not sides.is_balanced():
         raise ValueError("one-sided variation toughness requires a balanced bipartition")
-    _check_cap(max(len(sides.x), len(sides.y)), cap)
     best = INFINITE
     witness = None
     for label, side in (("X", sides.x), ("Y", sides.y)):

@@ -20,9 +20,8 @@ from .families import FamilySpec, build_family, family_graph, matches_family
 from .graphio import serialize_graph
 from .graphs import Bipartite, Graph, bipartition_of
 from .randoms import gnp, balanced_bipartite_gnp, sample_seed
-from .spectra import DEFAULT_TOL, spectral_radius
+from .spectra import spectral_radius
 from .toughness import (
-    ENUMERATION_CAP,
     CutWitness,
     ToughnessKind,
     bipartite_toughness,
@@ -113,30 +112,23 @@ class Verdict:
 
 
 @lru_cache(maxsize=None)
-def _threshold_detail(t: TheoremId, tol: float) -> tuple[float, FamilySpec]:
+def _threshold_detail(t: TheoremId) -> tuple[float, FamilySpec]:
     t.validate()
     best_rho, best_spec = None, None
     for spec in t.family_specs():
-        rho = spectral_radius(family_graph(spec), tol=tol).radius
+        rho = spectral_radius(family_graph(spec)).radius
         if best_rho is None or rho > best_rho:
             best_rho, best_spec = rho, spec
     return best_rho, best_spec
 
 
-def threshold(
-    t: TheoremId, tol: float = DEFAULT_TOL
-) -> tuple[float, Graph | Bipartite]:
+def threshold(t: TheoremId) -> tuple[float, Graph | Bipartite]:
     """Spectral threshold of a theorem and the extremal graph attaining it."""
-    rho, spec = _threshold_detail(t, tol)
+    rho, spec = _threshold_detail(t)
     return rho, build_family(spec)
 
 
-def check_graph_against_theorem(
-    g: Graph,
-    t: TheoremId,
-    cap: int = ENUMERATION_CAP,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
+def check_graph_against_theorem(g: Graph, t: TheoremId) -> Verdict:
     """Classify g under the theorem's trichotomy.
 
     Side conditions are read off the graph itself: order must match, the
@@ -159,17 +151,15 @@ def check_graph_against_theorem(
             raise ValueError("theorem applies to bipartite graphs")
         if not sides.is_balanced():
             raise ValueError("theorem applies to balanced bipartite graphs")
-    thr, winner_spec = _threshold_detail(t, tol)
-    rho = spectral_radius(g, tol=tol).radius
+    thr, winner_spec = _threshold_detail(t)
+    rho = spectral_radius(g).radius
     if rho < thr - RHO_THRESHOLD_TOL:
         return Verdict(VerdictStatus.BELOW, rho, thr)
     tau = t.required_toughness()
     if sides is None:
-        tough, witness = is_tau_tough(g, tau, cap=cap)
+        tough, witness = is_tau_tough(g, tau)
     else:
-        value, min_witness = bipartite_toughness(
-            g, sides, ToughnessKind.VARIATION, cap=cap
-        )
+        value, min_witness = bipartite_toughness(g, sides, ToughnessKind.VARIATION)
         tough = value >= tau
         witness = None if tough else min_witness
     if tough:
@@ -196,7 +186,7 @@ class CandidateRow:
 CANDIDATE_TABLE_CASES = ((3, 38), (10, 270), (10, 402))
 
 
-def candidate_comparison(tol: float = DEFAULT_TOL) -> list[CandidateRow]:
+def candidate_comparison() -> list[CandidateRow]:
     """Radii of both extremal candidates at the published sample sizes.
 
     Shows that neither candidate dominates: the winner flips as n grows for
@@ -204,12 +194,8 @@ def candidate_comparison(tol: float = DEFAULT_TOL) -> list[CandidateRow]:
     """
     rows = []
     for r, n in CANDIDATE_TABLE_CASES:
-        rho_a = spectral_radius(
-            family_graph(FamilySpec.bip_int_nondiv_a(n, r)), tol=tol
-        ).radius
-        rho_b = spectral_radius(
-            family_graph(FamilySpec.bip_int_nondiv_b(n, r)), tol=tol
-        ).radius
+        rho_a = spectral_radius(family_graph(FamilySpec.bip_int_nondiv_a(n, r))).radius
+        rho_b = spectral_radius(family_graph(FamilySpec.bip_int_nondiv_b(n, r))).radius
         rows.append(CandidateRow(r, n, rho_a, rho_b, "A" if rho_a > rho_b else "B"))
     return rows
 
@@ -307,13 +293,7 @@ def _sample_matching_graph(t: TheoremId, rng: random.Random) -> Graph:
     raise RuntimeError(f"could not sample a graph matching {t} side conditions")
 
 
-def search_counterexamples(
-    t: TheoremId,
-    samples: int,
-    seed: int,
-    cap: int = ENUMERATION_CAP,
-    tol: float = DEFAULT_TOL,
-) -> SearchReport:
+def search_counterexamples(t: TheoremId, samples: int, seed: int) -> SearchReport:
     """Check ``samples`` random side-condition-matching graphs against t.
 
     Per-sample seeds are split from the master seed by a counter, so reports
@@ -326,7 +306,7 @@ def search_counterexamples(
     for index in range(samples):
         rng = random.Random(sample_seed(seed, index))
         g = _sample_matching_graph(t, rng)
-        verdict = check_graph_against_theorem(g, t, cap=cap, tol=tol)
+        verdict = check_graph_against_theorem(g, t)
         if verdict.status is VerdictStatus.BELOW:
             report.below += 1
         elif verdict.status is VerdictStatus.TOUGH:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from toughspec.bounds import BrouwerReport
-from toughspec.cli import _num, build_parser, run
+from toughspec.cli import COMMANDS, _num, build_parser, run
 from toughspec.families import FamilySpec, build_family, family_graph, matches_family
 from toughspec.graphio import GraphFormat, parse_graph, serialize_graph
 from toughspec.graphs import complete, complete_bipartite, cycle, empty, join, path, petersen
@@ -577,18 +577,23 @@ class TestUsageAndErrors:
         assert run(["rho", "--family", "tough-int", "--tau", "2"]) == 1
         assert "--n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10", "abc"])
-    @pytest.mark.parametrize("command", ["rho", "remark"])
-    def test_tolerance_must_be_positive_and_finite(self, command, tol, capsys):
+    @pytest.mark.parametrize("command", [command.name for command in COMMANDS])
+    def test_no_tolerance_or_cap_flag(self, command, capsys):
+        # the radius tolerance and the cut cap are fixed limits, not options
         family = ["--family", "tough-int", "--n", "14", "--tau", "2"]
-        args = [command] + (family if command == "rho" else []) + ["--tol", tol]
-        assert run(args) == 1
-        assert "--tol" in capsys.readouterr().err
-
-    def test_spectrum_takes_no_tolerance(self, capsys):
-        assert run(["spectrum", "--family", "tough-int", "--n", "14", "--tau", "2",
-                    "--tol", "-5"]) == 1
-        assert "--tol" in capsys.readouterr().err
+        required = {
+            "rho": family,
+            "spectrum": family,
+            "construct": family,
+            "lemma": ["--lemma", "bipartite-monotone", "--n", "12", "--s", "1"],
+            "rotate": ["--in", "g.txt", "--s1", "0", "--s2", "1", "--t", "2"],
+            "verify": ["--in", "g.txt", "--theorem", "tough-int", "--tau", "2"],
+            "search": ["--theorem", "tough-int", "--n", "8", "--tau", "2"],
+            "remark": [],
+        }.get(command, ["--in", "g.txt"])
+        for flag in ("--tol", "--cap"):
+            assert run([command, *required, flag, "1"]) == 1
+            assert flag in capsys.readouterr().err
 
     def test_search_without_n_exits_one(self, capsys):
         assert run(["search", "--theorem", "tough-int", "--tau", "2",

@@ -58,7 +58,7 @@ class TestGnp:
 
     def test_connected_variant_gives_up(self):
         with pytest.raises(RuntimeError):
-            connected_gnp(8, 0.0, 0, max_tries=3)
+            connected_gnp(8, 0.0, 0)
 
 
 class TestBalancedBipartite:

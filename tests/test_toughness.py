@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toughspec import graphs
 from toughspec.families import FamilySpec, build_family, family_graph
 from toughspec.graphs import (
     bipartition_of,
@@ -84,8 +85,22 @@ class TestToughness:
             toughness(disjoint_union([complete(2), complete(2)]))
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            toughness(cycle(8), cap=7)
+        with pytest.raises(ValueError, match="cap"):
+            toughness(cycle(23))
+
+    def test_cap_is_checked_before_the_connectivity_search(self, monkeypatch):
+        ring = cycle(46)
+        sides = bipartition_of(ring)
+
+        def refuse(*args):
+            raise AssertionError("component search ran before the cap check")
+
+        monkeypatch.setattr(graphs, "component_masks", refuse)
+        scans = (toughness, variation_toughness, lambda g: is_tau_tough(g, 1),
+                 lambda g: bipartite_toughness(g, sides))
+        for scan in scans:
+            with pytest.raises(ValueError, match="cap"):
+                scan(ring)
 
 
 class TestVariationToughness:
@@ -211,9 +226,9 @@ class TestBipartiteToughness:
             bipartite_toughness(g, bipartition_of(cycle(8)))
 
     def test_cap_applies_to_side_size(self):
-        g = cycle(6)
-        with pytest.raises(ValueError):
-            bipartite_toughness(g, bipartition_of(g), cap=2)
+        g = cycle(46)
+        with pytest.raises(ValueError, match="cap"):
+            bipartite_toughness(g, bipartition_of(g))
 
 
 class TestAgainstNaiveEnumeration:
