@@ -577,6 +577,15 @@ class TestUsageAndErrors:
         assert run(["rho", "--family", "tough-int", "--tau", "2"]) == 1
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10", "abc"])
+    @pytest.mark.parametrize("command", ["rho", "remark"])
+    def test_tolerance_must_be_positive_and_finite(self, command, tol, capsys):
+        # no --tol value is accepted: the tolerance is the fixed spectra.RADIUS_TOL
+        family = ["--family", "tough-int", "--n", "14", "--tau", "2"]
+        args = [command] + (family if command == "rho" else []) + ["--tol", tol]
+        assert run(args) == 1
+        assert "--tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [command.name for command in COMMANDS])
     def test_no_tolerance_or_cap_flag(self, command, capsys):
         # the radius tolerance and the cut cap are fixed limits, not options
