@@ -24,6 +24,7 @@ from .graphs import Graph, bipartition_of
 from .lemmas import Lemma, check_lemma_comparison, rotation_experiment
 from .spectra import full_spectrum, spectral_radius
 from .toughness import (
+    ENUMERATION_CAP,
     INFINITE,
     ToughnessKind,
     bipartite_toughness,
@@ -148,6 +149,9 @@ def cmd_tough(ns):
     elif ns.kind == "variation":
         value, witness = variation_toughness(g, divisible_only=ns.divisible_only)
     else:
+        if g.n > 2 * ENUMERATION_CAP:  # refused before the superlinear bipartition
+            raise ValueError(f"cut enumeration over a side of at least {(g.n + 1) // 2} "
+                             f"vertices exceeds the cap of {ENUMERATION_CAP} (2^n subsets)")
         sides = bipartition_of(g)
         if sides is None:
             raise UsageError("one-sided toughness needs a bipartite graph")

@@ -30,8 +30,8 @@ def component_masks(masks: tuple[int, ...], remaining: int) -> list[int]:
     """Connected components of the subgraph induced on the vertex set
     ``remaining``, as bitmasks ordered by their smallest member.
 
-    This is the one component kernel: connectivity checks, component lists
-    and the toughness cut scans all go through it.
+    Connectivity checks, component lists and the bipartition go through it;
+    the toughness cut scan counts components with its own lookup tables.
     """
     comps = []
     while remaining:

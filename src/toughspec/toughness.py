@@ -9,7 +9,8 @@ greater than every finite ratio.
 
 Enumeration visits cuts by increasing size and lexicographically within a
 size, and the reported witness is always the first minimizer in that order,
-so results are deterministic.
+so results are deterministic.  The scan counts components itself, from
+neighbourhood-union tables built once per scan.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ def components_after_deletion(g: Graph, cut: Iterable[int]) -> int:
     return len(component_masks(g.masks, (1 << g.n) - 1 & ~vertex_mask(removed)))
 
 
+def _union_tables(masks):
+    """(half, lo, hi) for the cut scan: with half = len(masks) // 2, the OR of
+    masks[v] over any vertex set s is lo[s & (1 << half) - 1] | hi[s >> half]."""
+    half = len(masks) // 2
+    tables = [0], [0]
+    for table, part in zip(tables, (masks[:half], masks[half:])):
+        for mask in part:
+            table += [union | mask for union in table]  # t[x | 1 << i] = t[x] | masks[i]
+    return half, *tables
+
+
 def _scan_min(g, universe, max_size, shift, first_below=None, divisible_only=False):
     """Minimum cut ratio over subsets of ``universe`` up to ``max_size``.
 
@@ -65,29 +77,36 @@ def _scan_min(g, universe, max_size, shift, first_below=None, divisible_only=Fal
     once even the best case (all remaining vertices isolated) cannot beat the
     current bound; within the scanned range the first strict minimizer is
     kept.  With ``first_below`` the scan instead stops at the first cut whose
-    ratio is below it.
+    ratio is below it.  Each BFS step is two ``_union_tables`` lookups;
+    ratios are compared as integers with bn / bd (1 / 0 for INFINITE), and
+    only an improving cut builds a Fraction and a witness.
     """
     n = g.n
-    masks = g.masks
     full = (1 << n) - 1
+    half, lo, hi = _union_tables(g.masks)
+    low = (1 << half) - 1
     best = INFINITE if first_below is None else first_below
+    bn, bd = (1, 0) if best is INFINITE else (best.numerator, best.denominator)
     witness = None
     for size in range(1, max_size + 1):
-        if best is not INFINITE and Fraction(size, n - size - shift) >= best:
+        if size * bd >= (n - size - shift) * bn:
             break
-        for combo in combinations(universe, size):
-            cut_mask = 0
-            for v in combo:
-                cut_mask |= 1 << v
-            c = len(component_masks(masks, full & ~cut_mask))
-            if c < 2:
-                continue
+        for combo in combinations([1 << v for v in universe], size):
+            rest = full ^ sum(combo)  # vertices of G - S not yet reached
+            c = 0
+            while rest:
+                frontier = rest & -rest  # BFS from lowest unvisited vertex
+                rest ^= frontier
+                while frontier:
+                    frontier = (lo[frontier & low] | hi[frontier >> half]) & rest
+                    rest ^= frontier
+                c += 1
             d = c - shift
-            ratio = Fraction(size, d)
             # divisible_only drops cuts where neither |S| nor c - shift divides the other
-            if ratio < best and not (divisible_only and size % d and d % size):
-                best = ratio
-                witness = CutWitness(frozenset(combo), c, ratio)
+            if c > 1 and size * bd < d * bn and not (divisible_only and size % d and d % size):
+                bn, bd = size, d
+                best = Fraction(size, d)
+                witness = CutWitness(frozenset(b.bit_length() - 1 for b in combo), c, best)
                 if first_below is not None:
                     return best, witness
     return best, witness

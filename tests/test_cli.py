@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from toughspec import cli
 from toughspec.bounds import BrouwerReport
 from toughspec.cli import COMMANDS, _num, build_parser, run
 from toughspec.families import FamilySpec, build_family, family_graph, matches_family
@@ -160,6 +161,27 @@ class TestTough:
         code = run(["tough", "--in", graph_file(complete(5)),
                     "--kind", "bipartite-variation"])
         assert code == 1
+        assert "bipartite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["bipartite-toughness", "bipartite-variation"])
+    def test_side_cap_is_checked_before_the_bipartition(self, capsys, monkeypatch,
+                                                        tmp_path, graph_file, kind):
+        # over 2 * 22 vertices some side exceeds the cap, whatever the sides are
+        huge = tmp_path / "huge.txt"
+        huge.write_text("200000 0\n", encoding="ascii")
+
+        def refuse(g):
+            raise AssertionError("bipartition searched before the side cap check")
+
+        monkeypatch.setattr(cli, "bipartition_of", refuse)
+        for target, side in ((str(huge), 100000), (graph_file(cycle(45)), 23)):
+            assert run(["tough", "--in", target, "--kind", kind]) == 1
+            assert capsys.readouterr().err == (
+                f"error: cut enumeration over a side of at least {side} vertices "
+                "exceeds the cap of 22 (2^n subsets)\n")
+        monkeypatch.undo()
+        # at 2 * 22 vertices the bipartition still decides
+        assert run(["tough", "--in", graph_file(complete(44)), "--kind", kind]) == 1
         assert "bipartite" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 """Exact toughness, variation toughness, and one-sided bipartite versions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from toughspec import graphs
 from toughspec.families import FamilySpec, build_family, family_graph
 from toughspec.graphs import (
+    Graph,
+    SidePartition,
     bipartition_of,
     complete,
     complete_bipartite,
@@ -23,6 +26,7 @@ from toughspec.toughness import (
     INFINITE,
     CutWitness,
     ToughnessKind,
+    _union_tables,
     bipartite_toughness,
     components_after_deletion,
     is_tau_tough,
@@ -31,6 +35,7 @@ from toughspec.toughness import (
 )
 
 from helpers_naive import (
+    naive_component_count,
     naive_first_violation,
     naive_min_cut_ratio,
     naive_toughness,
@@ -294,6 +299,104 @@ class TestAgainstNaiveEnumeration:
             return
         value, _ = toughness(b.graph)
         assert value <= 1
+
+
+def naive_witness(g, cut, shift, side=None):
+    """The CutWitness the scan should report for a naive minimizer, or None."""
+    if cut is None:
+        return None
+    c = naive_component_count(g.n, g.edges(), cut)
+    return CutWitness(frozenset(cut), c, Fraction(len(cut), c - shift), side)
+
+
+def naive_first_witness(g, tau):
+    first = naive_first_violation(g.n, g.edges(), tau)
+    return None if first is None else naive_witness(g, first[0], 1)
+
+
+class TestTableDrivenScan:
+    """The cut scan's lookup tables, and its results against helpers_naive where
+    the two table halves differ in size (odd n), on one-sided universes that
+    straddle the halves, and at n = 22, where each table has 2^11 entries."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), n=st.integers(1, 22))
+    def test_union_tables_give_the_neighbourhood_of_any_subset(self, data, n):
+        vertex_sets = st.integers(0, (1 << n) - 1)
+        masks = data.draw(st.lists(vertex_sets, min_size=n, max_size=n))
+        half, lo, hi = _union_tables(tuple(masks))
+        assert (len(lo), len(hi)) == (1 << half, 1 << n - half)
+        assert max(len(lo), len(hi)) <= 1 << (n + 1) // 2
+        low = (1 << half) - 1
+        for s in data.draw(st.lists(vertex_sets, min_size=1, max_size=20)):
+            union = 0
+            for v in range(n):
+                if s >> v & 1:
+                    union |= masks[v]
+            assert lo[s & low] | hi[s >> half] == union
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from([5, 7, 9, 11]),
+        p=st.floats(0.2, 0.8),
+        tau=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)]),
+    )
+    def test_whole_graph_quantities_at_odd_order(self, seed, n, p, tau):
+        g = connected_gnp(n, p, seed)
+        scans = ((toughness, 0, False), (variation_toughness, 1, False),
+                 (lambda g: variation_toughness(g, divisible_only=True), 1, True))
+        for scan, shift, divisible_only in scans:
+            value, cut = naive_min_cut_ratio(g.n, g.edges(), shift,
+                                             divisible_only=divisible_only)
+            assert scan(g) == (value, naive_witness(g, cut, shift))
+        witness = naive_first_witness(g, tau)
+        assert is_tau_tough(g, tau) == (witness is None, witness)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10**6), n=st.integers(4, 11), p=st.floats(0.3, 0.9))
+    def test_one_sided_quantities_on_interleaved_sides(self, seed, n, p):
+        # odd n: unbalanced sides, plain kind only; even n: balanced, both kinds
+        rng = random.Random(seed)
+        x = frozenset(rng.sample(range(n), rng.randint(1, n - 1) if n % 2 else n // 2))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u in x) != (v in x) and rng.random() < p]
+        g = Graph(n, edges)
+        if not g.is_connected():
+            return
+        sides = SidePartition(x, frozenset(range(n)) - x)
+        for kind, shift in ((ToughnessKind.TOUGHNESS, 0), (ToughnessKind.VARIATION, 1)):
+            if shift and n % 2:
+                continue
+            best, witness = INFINITE, None
+            for label, side in (("X", sides.x), ("Y", sides.y)):
+                value, cut = naive_min_cut_ratio(n, edges, shift, universe=side, proper=True)
+                if value < best:
+                    best, witness = value, naive_witness(g, cut, shift, label)
+            assert bipartite_toughness(g, sides, kind) == (best, witness)
+
+    def test_order_22_star_and_path(self):
+        hub_last = join(empty(21), complete(1))  # K1,21, its hub in the high table
+        assert toughness(hub_last) == (
+            Fraction(1, 21), CutWitness(frozenset({21}), 21, Fraction(1, 21)))
+        assert variation_toughness(hub_last) == (
+            Fraction(1, 20), CutWitness(frozenset({21}), 21, Fraction(1, 20)))
+        line = path(22)
+        assert toughness(line) == (Fraction(1, 2), CutWitness(frozenset({1}), 2, Fraction(1, 2)))
+        for g in (hub_last, line):
+            for tau in (Fraction(3, 2), 2):  # both graphs violate these at size 1
+                witness = naive_first_witness(g, tau)
+                assert witness is not None
+                assert is_tau_tough(g, tau) == (False, witness)
+        sides = bipartition_of(line)  # evens and odds, spread over both tables
+        for kind, shift in ((ToughnessKind.TOUGHNESS, 0), (ToughnessKind.VARIATION, 1)):
+            expected = min(
+                (naive_min_cut_ratio(22, line.edges(), shift, universe=side, proper=True)
+                 + (label,) for label, side in (("X", sides.x), ("Y", sides.y))),
+                key=lambda found: found[0])
+            value, cut, label = expected
+            assert bipartite_toughness(line, sides, kind) == (
+                value, naive_witness(line, cut, shift, label))
 
 
 def test_results_are_reproducible():
