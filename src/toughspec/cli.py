@@ -11,6 +11,7 @@ payload, text lines)``; ``run`` is the only function that prints.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -359,6 +360,7 @@ COMMANDS = (
 )
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="toughspec",

@@ -10,7 +10,11 @@ greater than every finite ratio.
 Enumeration visits cuts by increasing size and lexicographically within a
 size, and the reported witness is always the first minimizer in that order,
 so results are deterministic.  The scan counts components itself, from
-neighbourhood-union tables built once per scan.
+neighbourhood-union tables built once per scan.  It skips only sizes where no
+cut can disconnect: below mu(G), the fewest common neighbours of a non-adjacent
+pair, since every cut separating u from v contains N(u) & N(v); and, for a
+one-sided cut, sizes whose bound needs more components than the other side has
+vertices, since every component of G - S then holds a vertex of that side.
 """
 
 from __future__ import annotations
@@ -69,27 +73,35 @@ def _union_tables(masks):
     return half, *tables
 
 
-def _scan_min(g, universe, max_size, shift, first_below=None, divisible_only=False):
+def _scan_min(g, universe, max_size, shift, cap, first_below=None, divisible_only=False):
     """Minimum cut ratio over subsets of ``universe`` up to ``max_size``.
 
     Returns (best ratio, witness); the witness is None when no cut beats the
-    starting bound, which is INFINITE or ``first_below``.  Sizes are pruned
-    once even the best case (all remaining vertices isolated) cannot beat the
-    current bound; within the scanned range the first strict minimizer is
-    kept.  With ``first_below`` the scan instead stops at the first cut whose
-    ratio is below it.  Each BFS step is two ``_union_tables`` lookups;
-    ratios are compared as integers with bn / bd (1 / 0 for INFINITE), and
-    only an improving cut builds a Fraction and a witness.
+    starting bound, which is INFINITE or ``first_below``.  Sizes start at
+    max(1, mu), mu the least |N(u) & N(v)| over non-adjacent u, v: a cut
+    leaving u and v in different components holds all their common
+    neighbours, so kappa(G) >= mu.  Sizes stop once even the best case,
+    min(cap, n - size) components, cannot beat the current bound or is below
+    two; ``cap`` is n, or the other side's order for a one-sided universe.
+    Skipped cuts all leave one component or cannot improve, so the first
+    strict minimizer is kept.  With ``first_below`` the scan instead stops at
+    the first cut whose ratio is below it.  Each BFS step is two
+    ``_union_tables`` lookups; ratios are compared as integers with bn / bd
+    (1 / 0 for INFINITE), and only an improving cut builds a Fraction and a
+    witness.
     """
-    n = g.n
+    n, masks = g.n, g.masks
     full = (1 << n) - 1
-    half, lo, hi = _union_tables(g.masks)
+    mu = min(((masks[u] & masks[v]).bit_count() for u in range(n) for v in range(u)
+              if not masks[u] >> v & 1), default=0)
+    half, lo, hi = _union_tables(masks)
     low = (1 << half) - 1
     best = INFINITE if first_below is None else first_below
     bn, bd = (1, 0) if best is INFINITE else (best.numerator, best.denominator)
     witness = None
-    for size in range(1, max_size + 1):
-        if size * bd >= (n - size - shift) * bn:
+    for size in range(max(1, mu), max_size + 1):
+        cmax = min(cap, n - size)
+        if cmax < 2 or size * bd >= (cmax - shift) * bn:
             break
         for combo in combinations([1 << v for v in universe], size):
             rest = full ^ sum(combo)  # vertices of G - S not yet reached
@@ -136,7 +148,7 @@ def _scan_graph(g, shift, first_below=None, divisible_only=False):
     _require_connected(g)
     if g.is_complete():
         return INFINITE, None
-    return _scan_min(g, range(g.n), g.n - 2, shift, first_below, divisible_only)
+    return _scan_min(g, range(g.n), g.n - 2, shift, g.n, first_below, divisible_only)
 
 
 def toughness(g: Graph) -> tuple[Fraction | float, CutWitness | None]:
@@ -161,7 +173,8 @@ def is_tau_tough(g: Graph, tau: Fraction | int) -> tuple[bool, CutWitness | None
 
     On failure the witness is the first violating cut in enumeration order,
     which need not be the global minimizer; the verdict is what matters and
-    stopping early keeps dense graphs affordable.
+    stopping early keeps dense graphs affordable, as does starting at size
+    mu(G) (see ``_scan_min``), below which no cut disconnects.
     """
     _, witness = _scan_graph(g, shift=1, first_below=Fraction(tau))
     return witness is None, witness
@@ -187,11 +200,9 @@ def bipartite_toughness(
         raise ValueError("one-sided variation toughness requires a balanced bipartition")
     best = INFINITE
     witness = None
-    for label, side in (("X", sides.x), ("Y", sides.y)):
+    for label, side, other in (("X", sides.x, sides.y), ("Y", sides.y, sides.x)):
         universe = sorted(side)
-        if len(universe) < 2:
-            continue  # no nonempty proper subset can exist
-        found, side_witness = _scan_min(g, universe, len(universe) - 1, shift)
+        found, side_witness = _scan_min(g, universe, len(universe) - 1, shift, len(other))
         if found < best:
             best = found
             witness = replace(side_witness, side=label)

@@ -73,6 +73,16 @@ def naive_first_violation(n, edges, tau):
     return None
 
 
+def naive_vertex_connectivity(n, edges):
+    """Size of the smallest cut leaving at least two components, by enumeration
+    in increasing size; None when no cut does (complete graphs)."""
+    for size in range(n - 1):
+        for combo in combinations(range(n), size):
+            if naive_component_count(n, edges, combo) >= 2:
+                return size
+    return None
+
+
 def naive_toughness(g):
     return naive_min_cut_ratio(g.n, g.edges(), shift=0)
 

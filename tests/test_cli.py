@@ -657,6 +657,41 @@ class TestUsageAndErrors:
             assert command in text
 
 
+class TestParserReuse:
+    """``build_parser`` is cached, so one parser serves every ``run`` call in a
+    process; parsing must leave nothing behind that a later call could see."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_runs_match_a_fresh_parser(self, capsys, graph_file, monkeypatch):
+        g = graph_file(petersen())
+        calls = (
+            ["tough", "--in", g, "--kind", "toughness", "--json"],
+            ["tough", "--in", g],  # --kind and --json back at their defaults
+            ["search", "--theorem", "tough-int", "--n", "14", "--tau", "2", "--samples", "5"],
+            ["bogus"], ["tough", "--in", g, "--kind", "bogus"], ["rho", "--n", "x"],
+            ["--help"], ["tough", "--help"],
+        )
+
+        def outputs(order):
+            seen = {}
+            for argv in order:
+                try:
+                    code = run(argv)
+                except SystemExit as exc:  # --help
+                    code = ("exit", exc.code)
+                seen[tuple(argv)] = (code, *capsys.readouterr())
+            return seen
+
+        cached = outputs(calls)
+        assert [cached[tuple(argv)][0] for argv in calls] == [0, 0, 0, 1, 1, 1,
+                                                               ("exit", 0), ("exit", 0)]
+        assert outputs(calls[::-1]) == cached
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert outputs(calls) == cached
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(

@@ -1,5 +1,6 @@
 """Exact toughness, variation toughness, and one-sided bipartite versions."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from helpers_naive import (
     naive_min_cut_ratio,
     naive_toughness,
     naive_variation,
+    naive_vertex_connectivity,
 )
 
 
@@ -397,6 +399,103 @@ class TestTableDrivenScan:
         for kind, shift in ((ToughnessKind.TOUGHNESS, 0), (ToughnessKind.VARIATION, 1)):
             assert bipartite_toughness(line, sides, kind) == naive_one_sided_result(
                 line, sides, shift)
+
+
+def common_neighbour_floor(g):
+    """mu(G): the fewest common neighbours of a non-adjacent pair, from edge sets."""
+    adj = {v: set() for v in range(g.n)}
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return min((len(adj[u] & adj[v]) for u in range(g.n) for v in range(u)
+                if v not in adj[u]), default=None)
+
+
+def octahedron():
+    return join(join(empty(2), empty(2)), empty(2))  # K2,2,2: parts {0,1}, {2,3}, {4,5}
+
+
+ONE_SIDED_KINDS = ((ToughnessKind.TOUGHNESS, 0), (ToughnessKind.VARIATION, 1))
+
+
+def assert_one_sided_matches_naive(g, sides):
+    for kind, shift in ONE_SIDED_KINDS:
+        if not shift or sides.is_balanced():
+            assert bipartite_toughness(g, sides, kind) == naive_one_sided_result(g, sides, shift)
+
+
+class TestSizeWindow:
+    """The cut scan starts at mu(G), below which no cut disconnects, and a
+    one-sided scan stops once the other side has fewer vertices than the
+    components its bound needs; both only skip cuts that leave one component."""
+
+    TAUS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2))
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 10), p=st.floats(0.6, 0.95))
+    def test_dense_graphs_match_naive(self, seed, n, p):
+        g = connected_gnp(n, p, seed)
+        kappa = naive_vertex_connectivity(g.n, g.edges())
+        if kappa is None:
+            assert g.is_complete()
+        else:
+            assert common_neighbour_floor(g) <= kappa
+        scans = ((toughness, 0, False), (variation_toughness, 1, False),
+                 (lambda g: variation_toughness(g, divisible_only=True), 1, True))
+        for scan, shift, divisible_only in scans:
+            value, cut = naive_min_cut_ratio(g.n, g.edges(), shift,
+                                             divisible_only=divisible_only)
+            assert scan(g) == (value, naive_witness(g, cut, shift))
+        for tau in self.TAUS:
+            witness = naive_first_witness(g, tau)
+            assert is_tau_tough(g, tau) == (witness is None, witness)
+
+    def test_octahedron_cuts_start_at_mu(self):
+        # mu = kappa = 4 and every minimizer has size 4: a scan that started
+        # one size above mu would report INFINITE here
+        g = octahedron()
+        assert common_neighbour_floor(g) == naive_vertex_connectivity(g.n, g.edges()) == 4
+        cut = frozenset({0, 1, 2, 3})
+        assert toughness(g) == (Fraction(2), CutWitness(cut, 2, Fraction(2)))
+        assert variation_toughness(g) == (Fraction(4), CutWitness(cut, 2, Fraction(4)))
+        assert naive_toughness(g) == (Fraction(2), (0, 1, 2, 3))
+        assert naive_variation(g) == (Fraction(4), (0, 1, 2, 3))
+        assert is_tau_tough(g, 4) == (True, None)
+        assert is_tau_tough(g, Fraction(9, 2)) == (False, CutWitness(cut, 2, Fraction(4)))
+
+    @pytest.mark.parametrize("hubs", [1, 2])
+    @pytest.mark.parametrize("leaves", [1, 2, 3, 7])
+    @pytest.mark.parametrize("hubs_first", [True, False])
+    def test_stars_and_two_hub_bicliques(self, hubs, leaves, hubs_first):
+        g = join(empty(hubs), empty(leaves)) if hubs_first else join(empty(leaves), empty(hubs))
+        assert_one_sided_matches_naive(g, bipartition_of(g))
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10**6), nx=st.integers(1, 9), ny=st.integers(1, 2),
+           p=st.floats(0.4, 1.0))
+    def test_random_bipartite_with_a_side_of_at_most_two(self, seed, nx, ny, p):
+        rng = random.Random(seed)
+        n = nx + ny
+        y = frozenset(rng.sample(range(n), ny))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u in y) != (v in y) and rng.random() < p]
+        g = Graph(n, edges)
+        if not g.is_connected():
+            return
+        x = frozenset(range(n)) - y
+        for sides in (SidePartition(x, y), SidePartition(y, x)):
+            assert_one_sided_matches_naive(g, sides)
+
+    def test_star_leaf_side_is_never_enumerated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the one-sided scan enumerated cuts")
+
+        # the package namespace re-exports the function toughness, so fetch the module
+        monkeypatch.setattr(importlib.import_module("toughspec.toughness"), "combinations",
+                            refuse)
+        for g in (star(21), join(empty(21), complete(1))):
+            sides = bipartition_of(g)
+            assert bipartite_toughness(g, sides, ToughnessKind.TOUGHNESS) == (INFINITE, None)
 
 
 def test_results_are_reproducible():
