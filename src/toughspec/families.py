@@ -24,7 +24,6 @@ from .graphs import (
     empty,
     empty_bipartite,
     join,
-    vertex_mask,
 )
 
 
@@ -191,7 +190,7 @@ def clique_with_satellites(s: int, c: int, t: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# construction, canonical partitions, structural matching
+# construction, canonical partitions, recognition
 # ---------------------------------------------------------------------------
 
 
@@ -230,58 +229,29 @@ def quotient_partition(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
 
 
 def matches_family(g: Graph, spec: FamilySpec) -> bool:
-    """Decide whether g is isomorphic to the family graph.
+    """Decide whether g is isomorphic to the family graph, from degrees alone.
 
-    The families are rigid enough that a degree fingerprint plus a full edge
-    pattern check is an exact isomorphism test; no general-purpose isomorphism
-    search is needed.
+    The clique families are threshold graphs: with the family's degrees, the
+    s vertices of degree n - 1 are the join set, and the rest, of degrees
+    c - 1 and 0 once the join set is gone, can only be K_c plus isolated
+    vertices.  The bipartite families are difference graphs: given a
+    bipartition whose side degrees are the family's, a vertex whose degree
+    is the other side's order sees all of that side, and every other
+    vertex's degree is used up by edges to those, which fixes every edge.
+    The family graph is connected, so the bipartition is unique up to the
+    order of the sides.
     """
-    spec.validate()
-    if g.n != spec.n:
+    built = build_family(spec)
+    target = built.graph if isinstance(built, Bipartite) else built
+    if g.n != target.n or sorted(g.degrees()) != sorted(target.degrees()):
         return False
-    if spec.family in (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA):
-        return _matches_clique_family(g, *tough_block_sizes(spec))
-    return _matches_split_family(g, *bip_block_sizes(spec))
-
-
-def _matches_clique_family(g: Graph, s: int, c: int, t: int) -> bool:
-    n = s + c + t
-    hub = [v for v in range(n) if g.degree(v) == n - 1]
-    if len(hub) != s:
-        return False
-    rest = g.induced([v for v in range(n) if v not in set(hub)])
-    comps = rest.components()
-    sizes = sorted(len(comp) for comp in comps)
-    if sizes != sorted([c] + [1] * t):
-        return False
-    for comp in comps:
-        if len(comp) > 1 and not rest.induced(comp).is_complete():
-            return False
-    return True
-
-
-def _matches_split_family(g: Graph, p: int, q: int, a: int, b: int) -> bool:
+    if not isinstance(built, Bipartite):
+        return True
     sides = bipartition_of(g)
     if sides is None:
         return False
-    for x_side, y_side in ((sides.x, sides.y), (sides.y, sides.x)):
-        if _split_orientation_fits(g, x_side, y_side, p, q, a, b):
-            return True
-    return False
-
-
-def _split_orientation_fits(g, x_side, y_side, p: int, q: int, a: int, b: int) -> bool:
-    if len(x_side) != p + a or len(y_side) != q + b:
-        return False
-    x1 = {v for v in x_side if g.degree(v) == q + b}
-    x2 = {v for v in x_side if g.degree(v) == q}
-    y1 = {v for v in y_side if g.degree(v) == p + a}
-    y2 = {v for v in y_side if g.degree(v) == p}
-    if (len(x1), len(x2), len(y1), len(y2)) != (p, a, q, b):
-        return False
-    if x1 & x2 or y1 & y2:  # degree coincidence would double-count
-        return False
-    y1_mask, y_mask = vertex_mask(y1), vertex_mask(y1 | y2)
-    return all(g.masks[u] == y_mask for u in x1) and all(
-        g.masks[u] == y1_mask for u in x2
+    have, want = (
+        sorted(sorted(h.degree(v) for v in side) for side in (split.x, split.y))
+        for h, split in ((g, sides), built)
     )
+    return have == want

@@ -49,6 +49,20 @@ def component_masks(masks: tuple[int, ...], remaining: int) -> list[int]:
     return comps
 
 
+def _toggle_edges(n: int, masks: list[int], pairs: Iterable[tuple[int, int]], present: bool):
+    """Flip each edge's bits in ``masks``; it must be ``present`` beforehand, else ValueError."""
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if masks[u] >> v & 1 != present:
+            key = (u, v) if u < v else (v, u)
+            raise ValueError(f"edge {key} not present" if present else f"duplicate edge {key}")
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
@@ -63,20 +77,10 @@ class Graph:
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         masks = [0] * n
-        m = 0
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if masks[u] >> v & 1:
-                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-            m += 1
+        _toggle_edges(n, masks, edges, present=False)
         self.n = n
         self.masks = tuple(masks)
-        self.m = m
+        self.m = sum(mask.bit_count() for mask in masks) // 2
 
     @classmethod
     def _from_masks(cls, n: int, masks: Iterable[int]) -> Graph:
@@ -144,24 +148,15 @@ class Graph:
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> Graph:
         """Copy with the given edges added; rejects edges already present."""
-        new = set(self.edges())
-        for u, v in extra:
-            key = (u, v) if u < v else (v, u)
-            if key in new:
-                raise ValueError(f"edge {key} already present")
-            new.add(key)
-        return Graph(self.n, sorted(new))
+        masks = list(self.masks)
+        _toggle_edges(self.n, masks, extra, present=False)
+        return Graph._from_masks(self.n, masks)
 
     def without_edges(self, gone: Iterable[tuple[int, int]]) -> Graph:
         """Copy with the given edges removed; rejects edges not present."""
-        have = set(self.edges())
-        drop = set()
-        for u, v in gone:
-            key = (u, v) if u < v else (v, u)
-            if key not in have:
-                raise ValueError(f"edge {key} not present")
-            drop.add(key)
-        return Graph(self.n, sorted(have - drop))
+        masks = list(self.masks)
+        _toggle_edges(self.n, masks, gone, present=True)
+        return Graph._from_masks(self.n, masks)
 
     # -- value semantics ---------------------------------------------------
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Bipartite, Graph, SidePartition
+from .graphs import Bipartite, Graph, SidePartition, vertex_mask
 
 _CONNECTED_TRIES = 10_000  # rejection draws before connected_gnp gives up
-_PAIRING_TRIES = 5_000  # pairings before random_regular gives up
+_PAIRING_TRIES = 5_000  # pairing restarts before random_regular gives up
 
 
 def _rng(seed: int | random.Random) -> random.Random:
@@ -72,24 +72,33 @@ def balanced_bipartite_gnp(n: int, p: float, seed: int | random.Random) -> Bipar
 
 
 def random_regular(n: int, d: int, seed: int | random.Random) -> Graph:
-    """Random d-regular graph by the pairing model with simple-graph rejection."""
+    """Random d-regular graph by the pairing model, one suitable pair at a time.
+
+    Two unpaired points are kept when they add an edge between distinct,
+    non-adjacent vertices; when no such pair is left, the pairing restarts
+    (Steger & Wormald 1999).
+    """
     if n < 1 or d < 0 or d >= n:
         raise ValueError("regular model needs 0 <= d < n")
     if n * d % 2:
         raise ValueError("regular model needs n*d even")
     rng = _rng(seed)
-    points = [v for v in range(n) for _ in range(d)]
     for _ in range(_PAIRING_TRIES):
-        rng.shuffle(points)
-        edges = set()
-        for k in range(0, len(points), 2):
-            u, v = points[k], points[k + 1]
-            key = (u, v) if u < v else (v, u)
-            if u == v or key in edges:
-                break  # a loop or a repeated pair: draw a new pairing
-            edges.add(key)
+        masks = [0] * n
+        points = [v for v in range(n) for _ in range(d)]
+        while points:
+            u, v = rng.sample(points, 2)
+            if u != v and not masks[u] >> v & 1:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                points.remove(u)
+                points.remove(v)
+                continue
+            open_ = vertex_mask(set(points))
+            if all(open_ & ~masks[w] == 1 << w for w in points):
+                break  # no open vertex has another open vertex as a non-neighbour
         else:
-            return Graph(n, sorted(edges))
+            return Graph._from_masks(n, masks)
     raise RuntimeError(
-        f"no simple {d}-regular pairing on {n} vertices within {_PAIRING_TRIES} tries"
+        f"no simple {d}-regular pairing on {n} vertices within {_PAIRING_TRIES} restarts"
     )

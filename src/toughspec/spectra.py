@@ -2,8 +2,10 @@
 for full spectra, and exact rational quotient-matrix characteristic polynomials.
 
 The spectral radius and the quotient-polynomial root are deliberately computed
-by two unrelated routes (iterative linear algebra vs exact polynomial root
-isolation) so each can certify the other on the extremal families.
+by two unrelated routes (iterative linear algebra vs a certified polynomial
+root) so each can check the other on the extremal families.  A certified root
+x comes with an exact proof, by Descartes' rule of signs in rationals, that the
+largest real root lies in (x - h, x + h] for some h <= RADIUS_TOL * max(1, |x|).
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import numpy as np
 
 from .graphs import Graph, vertex_mask
 
-RADIUS_TOL = 1e-10  # power-iteration residual; also scales the Newton stop
+RADIUS_TOL = 1e-10  # power-iteration residual; also bounds the root certificate
 MAX_ITERATIONS = 1_000_000
+_NEWTON_STEPS = 200  # cap on the float and on the exact Newton steps of a root
 DENSE_CAP = 1000
 
 
@@ -26,7 +29,7 @@ class PowerIterationError(RuntimeError):
 
 
 class RootIsolationError(ValueError):
-    """Raised when no sign change brackets the requested polynomial root."""
+    """Raised when no certificate isolates the largest real root."""
 
 
 @dataclass
@@ -184,13 +187,7 @@ class CharPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        value = 0 * x if not isinstance(x, float) else 0.0
-        for c in self.coeffs:
-            value = value * x + c
-        return value
-
-    def float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
+        return _value_and_slope(self.coeffs, x)[0]
 
 
 def char_poly(q: QuotientMatrix | Sequence[Sequence[Fraction | int]]) -> CharPoly:
@@ -216,52 +213,51 @@ def char_poly(q: QuotientMatrix | Sequence[Sequence[Fraction | int]]) -> CharPol
 
 
 def largest_real_root(p: CharPoly) -> float:
-    """Largest real root, isolated by a sign-change scan and polished by Newton.
+    """Largest real root by Newton's method, certified by Descartes' rule of signs.
 
-    Scans a descending grid over the Cauchy/Fujiwara root bound, where the
-    monic polynomial is positive, bisects the first sign change, then finishes
-    with Newton steps.  Raises RootIsolationError when the scan sees no sign
-    change, e.g. when the dominant root has even multiplicity.
+    Newton's method starts at Fujiwara's root bound.  A quotient matrix is
+    similar to a symmetric one, so its characteristic polynomial has only real
+    roots, and the iterates fall monotonically onto the largest.  Float steps
+    run until rounding stops that fall; then steps evaluated exactly, each
+    rounded to a float, run until they repeat.  The result x is returned only
+    if, for some h up to ``RADIUS_TOL * max(1, |x|)``, the coefficients of
+    p(t + x + h) have no sign change and those of p(t + x - h) an odd number.
+    Otherwise RootIsolationError, e.g. when the largest root has even
+    multiplicity, as in x**2 or (x - 2)**2.
     """
-    coeffs = p.float_coeffs()
-    # take the tighter of the Cauchy and Fujiwara root bounds: Cauchy
-    # grows with the largest coefficient while Fujiwara grows with the
-    # root size, so the scan grid keeps resolution near the actual roots
-    # even when low-order coefficients are huge
-    tail = np.abs(coeffs[1:])  # the leading coefficient is 1
-    cauchy = 1.0 + float(tail.max())
-    fujiwara = 2.0 * max(c ** (1.0 / (k + 1)) for k, c in enumerate(tail))
-    bound = max(min(cauchy, fujiwara), 1e-6)
-    lo, hi = -bound, bound
-    grid = np.linspace(hi, lo, 8193)
-    values = np.polyval(coeffs, grid)
-    below = np.nonzero(values <= 0)[0]
-    if below.size == 0:
-        raise RootIsolationError("no sign change found in scan range")
-    first = int(below[0])
-    a, b = float(grid[first]), float(grid[first - 1])  # p(a) <= 0 <= p(b)
-    fa = float(values[first])
-    if fa == 0.0:
-        a_root = a
-    else:
-        for _ in range(120):
-            mid = 0.5 * (a + b)
-            if b - a <= 1e-13 * max(1.0, abs(mid)):
+    floats = [float(c) for c in p.coeffs]
+    x = 2.0 * max((abs(c) ** (1.0 / k) for k, c in enumerate(floats[1:], 1)), default=0.0)
+    for number, coeffs in ((float, floats), (Fraction, p.coeffs)):
+        for _ in range(_NEWTON_STEPS):
+            at = number(x)
+            value, slope = _value_and_slope(coeffs, at)
+            if not slope:
                 break
-            if np.polyval(coeffs, mid) <= 0:
-                a = mid
-            else:
-                b = mid
-        a_root = 0.5 * (a + b)
-    deriv = np.polyder(coeffs)
-    x = a_root
-    for _ in range(40):
-        fx = float(np.polyval(coeffs, x))
-        dfx = float(np.polyval(deriv, x))
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x -= step
-        if abs(step) <= RADIUS_TOL * 1e-3 * max(1.0, abs(x)):
-            break
-    return x
+            x, last = float(at - value / slope), x
+            if x == last or (x > last and number is float):  # a rising float step is noise
+                break
+    centre, scale = Fraction(x), max(1.0, abs(x))
+    for shrink in (1000, 100, 10, 1):
+        h = Fraction(RADIUS_TOL * scale) / shrink
+        if _sign_changes(p.coeffs, centre + h) == 0 and _sign_changes(p.coeffs, centre - h) % 2:
+            return x
+    raise RootIsolationError(f"no certificate isolates the largest root near {x!r}")
+
+
+def _value_and_slope(coeffs, x):
+    """p(x) and p'(x) by Horner's rule, in the arithmetic of x."""
+    value = slope = 0 * x
+    for c in coeffs:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
+def _sign_changes(coeffs: Sequence[Fraction], shift: Fraction) -> int:
+    """Sign changes in the coefficients of p(t + shift), by repeated synthetic division."""
+    a = list(coeffs)
+    for end in range(len(a) - 1, 0, -1):
+        for j in range(1, end + 1):
+            a[j] += a[j - 1] * shift
+    signs = [c > 0 for c in a if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))

@@ -111,6 +111,95 @@ def sympy_char_poly_coeffs(rows):
     return tuple(Fraction(int(c.p), int(c.q)) for c in coeffs)
 
 
+def sympy_root_bracket(coeffs, x, h):
+    """Whether the largest real root of the polynomial lies in (x - h, x + h],
+    by sympy's exact real-root counts."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], t)
+    lo, hi = sympy.Rational(x) - sympy.Rational(h), sympy.Rational(x) + sympy.Rational(h)
+    above = poly.count_roots(hi) - (poly.eval(hi) == 0)  # roots in (hi, oo)
+    return above == 0 and poly.count_roots(lo, hi) - (poly.eval(lo) == 0) >= 1
+
+
 def relabeled(graph_cls, g, perm):
     """The same graph with vertices renamed by the permutation list."""
     return graph_cls(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def naive_matches_family(n, edges, blocks):
+    """Structural isomorphism test against an extremal family graph.
+
+    ``blocks`` is (s, c, t) for K_s joined to K_c plus t isolated vertices,
+    or (p, q, a, b) for K_{p,q} bipartitely joined to O_{a,b}.  The graph is
+    taken apart block by block: the join set, the components left without
+    it, or the four degree classes of a two-colouring and their neighbour
+    sets.
+    """
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if n != sum(blocks):
+        return False
+    if len(blocks) == 3:
+        s, c, t = blocks
+        hub = {v for v in adj if len(adj[v]) == n - 1}
+        if len(hub) != s:
+            return False
+        comps = _naive_components(set(adj) - hub, adj)
+        if sorted(len(comp) for comp in comps) != sorted([c] + [1] * t):
+            return False
+        return all(adj[v] - hub == comp - {v} for comp in comps for v in comp)
+    p, q, a, b = blocks
+    colouring = _naive_two_colouring(adj)
+    if colouring is None:
+        return False
+    sides = [{v for v in adj if colouring[v] == k} for k in (0, 1)]
+    for x_side, y_side in (sides, sides[::-1]):
+        if len(x_side) != p + a or len(y_side) != q + b:
+            continue
+        x1 = {v for v in x_side if len(adj[v]) == q + b}
+        x2 = {v for v in x_side if len(adj[v]) == q}
+        y1 = {v for v in y_side if len(adj[v]) == p + a}
+        y2 = {v for v in y_side if len(adj[v]) == p}
+        if (len(x1), len(x2), len(y1), len(y2)) != (p, a, q, b) or x1 & x2 or y1 & y2:
+            continue
+        if all(adj[u] == y_side for u in x1) and all(adj[u] == y1 for u in x2):
+            return True
+    return False
+
+
+def _naive_components(vertices, adj):
+    comps, seen = [], set()
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            u = stack.pop()
+            if u not in comp:
+                comp.add(u)
+                stack.extend((adj[u] & vertices) - comp)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def _naive_two_colouring(adj):
+    colour = {}
+    for start in adj:
+        if start in colour:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    stack.append(w)
+                elif colour[w] == colour[u]:
+                    return None
+    return colour

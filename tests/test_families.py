@@ -18,7 +18,7 @@ from toughspec.families import (
 )
 from toughspec.graphs import Bipartite, Graph, complete
 
-from helpers_naive import relabeled
+from helpers_naive import naive_matches_family, relabeled
 
 
 class TestBlockSizes:
@@ -205,3 +205,82 @@ class TestMatching:
     def test_invalid_spec_raises_rather_than_false(self):
         with pytest.raises(ValueError):
             matches_family(complete(5), FamilySpec.tough_int(5, 2))
+
+
+REFERENCE_SPECS = [
+    FamilySpec.tough_int(14, 2),
+    FamilySpec.tough_int(27, 3),
+    FamilySpec.tough_frac_delta(16, 1, 2),
+    FamilySpec.tough_frac_delta(20, 2, 2),
+    FamilySpec.bip_int_div(20, 2),
+    FamilySpec.bip_int_div(24, 2),
+    FamilySpec.bip_int_nondiv_a(22, 2),
+    FamilySpec.bip_int_nondiv_a(38, 3),
+    FamilySpec.bip_int_nondiv_b(22, 2),
+    FamilySpec.bip_int_nondiv_b(38, 3),
+    FamilySpec.bip_frac(16, 2),
+    FamilySpec.bip_frac(20, 1),
+]
+
+
+def _two_switches(g, rng, count):
+    """Up to ``count`` degree-preserving 2-switches ab, cd -> ac, bd of g."""
+    edges = g.edges()
+    out = []
+    for _ in range(50 * count):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            out.append(g.without_edges([(a, b), (c, d)]).with_edges([(a, c), (b, d)]))
+            if len(out) == count:
+                break
+    return out
+
+
+def _reference_cases():
+    """(graph, spec) pairs: relabelled family graphs, 2-switches, single-edge
+    flips and family graphs of the same order checked against another spec."""
+    rng = random.Random(8)
+    for spec in REFERENCE_SPECS:
+        g = family_graph(spec)
+        variants = [g] * 20 + _two_switches(g, rng, 60)
+        variants += [
+            g.without_edges([(u, v)]) if g.has_edge(u, v) else g.with_edges([(u, v)])
+            for u in range(g.n) for v in range(u + 1, g.n)
+        ]
+        variants += [family_graph(other) for other in REFERENCE_SPECS
+                     if other.n == spec.n and other != spec]
+        for h in variants:
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            yield relabeled(Graph, h, perm), spec
+
+
+class TestMatchingAgainstReference:
+    def test_agrees_with_structural_matcher(self):
+        counts = {}
+        for g, spec in _reference_cases():
+            blocks = (tough_block_sizes(spec) if spec.family in (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA)
+                      else bip_block_sizes(spec))
+            expected = naive_matches_family(g.n, g.edges(), blocks)
+            assert matches_family(g, spec) == expected, (spec, g.edges())
+            key = (spec.family, expected)
+            counts[key] = counts.get(key, 0) + 1
+        assert sum(counts.values()) >= 3000
+        assert {family for family, _ in counts} == set(Family)
+        assert all(counts.get((family, True), 0) >= 20 for family in Family)
+
+    @pytest.mark.parametrize("spec", [s for s in REFERENCE_SPECS if s.family not in
+                                      (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA)])
+    def test_switch_into_odd_cycle_keeps_degrees_but_not_the_family(self, spec):
+        # a 2-switch that joins two vertices of one side keeps every degree
+        # and the side degree lists, so only the bipartiteness test rejects it
+        g = family_graph(spec)
+        x = build_family(spec).sides.x
+        switches = [h for h in _two_switches(g, random.Random(3), 40)
+                    if any(h.has_edge(u, v) for u in x for v in x if u < v)]
+        assert switches
+        for h in switches:
+            assert sorted(h.degrees()) == sorted(g.degrees())
+            assert not matches_family(h, spec)

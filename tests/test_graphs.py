@@ -93,6 +93,27 @@ class TestGraphBasics:
             g.with_edges([(0, 1)])  # already present
         with pytest.raises(ValueError):
             g.without_edges([(0, 2)])  # absent
+        for bad in ([(1, 1)], [(0, 3)], [(-1, 2)]):  # self-loop, out of range
+            with pytest.raises(ValueError):
+                g.with_edges(bad)
+            with pytest.raises(ValueError):
+                g.without_edges(bad)
+        with pytest.raises(ValueError):
+            g.with_edges([(0, 2), (2, 0)])  # the same new edge twice
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(2, 12), st.randoms(use_true_random=False))
+    def test_edits_match_edge_list_rebuild(self, n, rng):
+        g = gnp(n, 0.5, rng.randrange(10**6))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        present = set(g.edges())
+        add = [(v, u) for u, v in pairs[:3] if (u, v) not in present]
+        drop = [e for e in pairs[3:6] if e in present]
+        assert g.with_edges(add) == Graph(n, sorted(present | {(u, v) for v, u in add}))
+        assert g.without_edges(drop) == Graph(n, sorted(present - set(drop)))
+        assert g.with_edges(add).m == g.m + len(add)
+        assert g.without_edges(drop).m == g.m - len(drop)
 
 
 class TestConstructors:

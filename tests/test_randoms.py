@@ -91,3 +91,11 @@ class TestRandomRegular:
 
     def test_zero_regular(self):
         assert random_regular(5, 0, 0).m == 0
+
+    @pytest.mark.parametrize("n, d, seed", [(14, 6, 2)] + [(20, 8, s) for s in range(5)])
+    def test_moderate_degree(self, n, d, seed):
+        # only about 1.6e-4 of all 6-regular pairings on 14 vertices are
+        # simple, so rejecting whole pairings gives up here
+        g = random_regular(n, d, seed)
+        assert g.degrees() == (d,) * n
+        assert g.m == n * d // 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toughspec.families import FamilySpec, family_graph, quotient_partition
 from toughspec.graphs import (
@@ -21,6 +21,7 @@ from toughspec.graphs import (
 from toughspec.randoms import connected_gnp, gnp
 from toughspec.spectra import (
     DENSE_CAP,
+    RADIUS_TOL,
     CharPoly,
     RootIsolationError,
     adjacency_matrix,
@@ -32,7 +33,15 @@ from toughspec.spectra import (
     spectral_radius,
 )
 
-from helpers_naive import sympy_char_poly_coeffs
+from helpers_naive import sympy_char_poly_coeffs, sympy_root_bracket
+
+
+def _product(roots):
+    """Coefficients of prod (x - r), leading first."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [Fraction(0)], [Fraction(0)] + coeffs)]
+    return tuple(coeffs)
 
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -231,7 +240,7 @@ class TestLargestRealRoot:
 
     def test_agrees_with_companion_matrix_roots(self):
         p = CharPoly((Fraction(1), Fraction(-11), Fraction(-13), Fraction(11)))
-        numeric = max(r.real for r in np.roots(p.float_coeffs())
+        numeric = max(r.real for r in np.roots([float(c) for c in p.coeffs])
                       if abs(r.imag) < 1e-9)
         assert largest_real_root(p) == pytest.approx(numeric, abs=1e-9)
 
@@ -240,6 +249,51 @@ class TestLargestRealRoot:
         p = CharPoly((Fraction(1), Fraction(-4), Fraction(4)))
         with pytest.raises(RootIsolationError):
             largest_real_root(p)
+
+    def test_zero_double_root_is_rejected(self):
+        with pytest.raises(RootIsolationError):
+            largest_real_root(CharPoly((Fraction(1), Fraction(0), Fraction(0))))
+
+    def test_close_pair_of_largest_roots(self):
+        # x(x - 3)(x - 3.001): a grid cell can hold both large roots
+        p = CharPoly(_product([Fraction(0), Fraction(3), Fraction(3001, 1000)]))
+        assert largest_real_root(p) == pytest.approx(3.001, abs=1e-12)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=60),
+                    min_size=1, max_size=6))
+    # float Newton stalls 5e-6 above 1345/56, and one exact step is not enough
+    @example([Fraction(24)] * 3 + [Fraction(1345, 56)])
+    # float Newton ends below 40, where the first exact step rises
+    @example([Fraction(-2), Fraction(40)] + [Fraction(999, 25)] * 3)
+    def test_product_of_linear_factors(self, roots):
+        top = max(roots)
+        p = CharPoly(_product(roots))
+        try:
+            x = largest_real_root(p)
+        except RootIsolationError:
+            assert roots.count(top) > 1
+            return
+        assert abs(x - top) <= RADIUS_TOL * max(1.0, abs(x))
+
+    def test_refuses_a_root_that_is_not_the_largest(self):
+        # (x + 2)(x + 7)(x + 12)((x - 14)^2 + 30): with complex roots Newton
+        # can land on -12, where p(t - 12 - h) still has an odd sign count
+        p = _product([Fraction(-2), Fraction(-7), Fraction(-12)])
+        quad = (Fraction(1), Fraction(-28), Fraction(226))
+        coeffs = [sum(p[i] * quad[k - i] for i in range(len(p)) if 0 <= k - i < 3)
+                  for k in range(len(p) + 2)]
+        with pytest.raises(RootIsolationError):
+            largest_real_root(CharPoly(tuple(coeffs)))
+
+    def test_certificate_holds_on_family_quotients(self):
+        """Every family root lies within RADIUS_TOL of the true largest root."""
+        from test_acceptance import criterion_3_specs
+
+        for spec in criterion_3_specs():
+            p = char_poly(quotient_matrix(family_graph(spec), quotient_partition(spec)))
+            x = largest_real_root(p)
+            assert sympy_root_bracket(p.coeffs, x, RADIUS_TOL * max(1.0, abs(x))), spec
 
     @pytest.mark.parametrize("spec", [
         FamilySpec.tough_int(14, 2),
