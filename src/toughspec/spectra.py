@@ -223,7 +223,8 @@ def largest_real_root(p: CharPoly) -> float:
     if, for some h up to ``RADIUS_TOL * max(1, |x|)``, the coefficients of
     p(t + x + h) have no sign change and those of p(t + x - h) an odd number.
     Otherwise RootIsolationError, e.g. when the largest root has even
-    multiplicity, as in x**2 or (x - 2)**2.
+    multiplicity, as in x**2 or (x - 2)**2, or when complex roots add sign
+    changes, as in (x - 1)((x - 3)**2 + 1).
     """
     floats = [float(c) for c in p.coeffs]
     x = 2.0 * max((abs(c) ** (1.0 / k) for k, c in enumerate(floats[1:], 1)), default=0.0)
