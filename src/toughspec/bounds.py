@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .graphs import Graph, bipartition_of
+from .graphs import Graph, SidePartition, bipartition_of
 from .spectra import second_largest_absolute_eigenvalue, spectral_radius
 from .toughness import toughness
 
@@ -55,16 +55,11 @@ def _degree_refined(g: Graph) -> float:
     return (d - 1) / 2 + math.sqrt(2 * g.m - g.n * d + (d + 1) ** 2 / 4)
 
 
-def _nosal_equality(g: Graph) -> bool:
-    # complete bipartite plus isolated vertices (edgeless counts degenerately)
-    if g.m == 0:
-        return True
-    covered = [v for v in range(g.n) if g.degree(v) > 0]
-    h = g.induced(covered)
-    if not h.is_connected():
-        return False
-    sides = bipartition_of(h)
-    return sides is not None and h.m == len(sides.x) * len(sides.y)
+def _nosal_equality(g: Graph, sides: SidePartition) -> bool:
+    # complete bipartite plus isolated vertices (edgeless counts degenerately):
+    # the m edges fill every pair between the non-isolated vertices of X and of Y
+    x, y = (sum(1 for v in side if g.masks[v]) for side in (sides.x, sides.y))
+    return g.m == x * y
 
 
 def check_bound(g: Graph, bound: Bound | str) -> BoundReport:
@@ -80,10 +75,11 @@ def check_bound(g: Graph, bound: Bound | str) -> BoundReport:
         degs = set(g.degrees())
         structural = len(degs) == 1 or degs == {g.min_degree(), g.n - 1}
     else:
-        if bipartition_of(g) is None:
+        sides = bipartition_of(g)
+        if sides is None:
             raise ValueError("bound applies to bipartite graphs only")
         rhs = math.sqrt(g.m)
-        structural = _nosal_equality(g)
+        structural = _nosal_equality(g, sides)
     lhs = spectral_radius(g).radius
     slack = rhs - lhs
     return BoundReport(bound, lhs, rhs, slack, slack <= EQUALITY_SLACK and structural)

@@ -7,6 +7,7 @@ so output is canonical for a given labeled graph.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 
 from .graphs import Graph
@@ -52,8 +53,7 @@ def _parse_edge_list(text: str) -> Graph:
         raise GraphFormatError(
             f"header announces {m} edges but {len(body)} edge lines follow"
         )
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    masks = [0] * n
     for lineno, line in body:
         parts = line.split()
         if len(parts) != 2:
@@ -68,12 +68,11 @@ def _parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"line {lineno}: endpoint out of range 0..{n - 1}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, edges)
+        if masks[u] >> v & 1:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({min(u, v)}, {max(u, v)})")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph._from_masks(n, masks)
 
 
 def _serialize_edge_list(g: Graph) -> str:
@@ -87,78 +86,73 @@ def _serialize_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _g6_encode_order(n: int) -> list[int]:
-    if n <= 62:
-        return [n + 63]
-    if n <= 258047:
-        return [126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)]
-    if n <= 68719476735:
-        return [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
+# order header forms by number of leading "~" bytes: (largest order, 6-bit digits)
+_G6_ORDER_FORMS = ((62, 1), (258047, 3), (68719476735, 6))
+
+
+def _g6_encode_order(n: int) -> str:
+    for lead, (top, digits) in enumerate(_G6_ORDER_FORMS):
+        if n <= top:
+            return "~" * lead + "".join(
+                chr((n >> 6 * k & 63) + 63) for k in reversed(range(digits))
+            )
     raise ValueError("graph too large for graph6")
 
 
+def _g6_decode_order(codes: bytes) -> tuple[int, int]:
+    """The order that the header of the graph6 bytes ``codes`` announces, and
+    the header's length."""
+    lead = 0
+    while lead < 2 and lead < len(codes) and codes[lead] == 126:
+        lead += 1
+    end = lead + _G6_ORDER_FORMS[lead][1]
+    if len(codes) < end:
+        raise GraphFormatError("truncated graph6 order")
+    n = 0
+    for c in codes[lead:end]:
+        n = n << 6 | c - 63
+    return n, end
+
+
 def _serialize_graph6(g: Graph) -> str:
-    out = _g6_encode_order(g.n)
-    bits: list[int] = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k : k + 6]:
-            group = group << 1 | b
-        out.append(group + 63)
-    return "".join(chr(c) for c in out)
+    # column j of the upper triangle holds bits (0, j), ..., (j - 1, j)
+    bits = "".join(
+        f"{g.masks[j] & (1 << j) - 1:0{j}b}"[::-1] for j in range(1, g.n)
+    )
+    bits += "0" * (-len(bits) % 6)
+    body = "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
+    return _g6_encode_order(g.n) + body
 
 
 def _parse_graph6(text: str) -> Graph:
     data = text.strip()
     if not data:
         raise GraphFormatError("empty graph6 string")
-    codes = []
-    for ch in data:
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise GraphFormatError(f"graph6 character {ch!r} out of range")
-        codes.append(c - 63)
-    pos = 0
-    if codes[0] != 63:
-        n = codes[0]
-        pos = 1
-    elif len(codes) >= 2 and codes[1] != 63:
-        if len(codes) < 4:
-            raise GraphFormatError("truncated graph6 order")
-        n = codes[1] << 12 | codes[2] << 6 | codes[3]
-        pos = 4
-    else:
-        if len(codes) < 8:
-            raise GraphFormatError("truncated graph6 order")
-        n = 0
-        for c in codes[2:8]:
-            n = n << 6 | c
-        pos = 8
+    bad = re.search("[^?-~]", data)
+    if bad:
+        raise GraphFormatError(f"graph6 character {bad.group()!r} out of range")
+    codes = data.encode("ascii")
+    n, pos = _g6_decode_order(codes)
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
     if len(codes) - pos != expected:
         raise GraphFormatError(
             f"graph6 body for n={n} needs {expected} characters, got {len(codes) - pos}"
         )
-    bits: list[int] = []
-    for c in codes[pos:]:
-        for s in range(5, -1, -1):
-            bits.append(c >> s & 1)
-    if any(bits[nbits:]):
+    bits = "".join(f"{c - 63:06b}" for c in codes[pos:])
+    if "1" in bits[nbits:]:
         raise GraphFormatError("graph6 padding bits must be zero")
-    edges = []
-    k = 0
+    if n < 1:
+        raise GraphFormatError("graph needs at least one vertex")
+    masks = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+        column = int(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        masks[j] |= column
+        while column:
+            low = column & -column
+            masks[low.bit_length() - 1] |= 1 << j
+            column ^= low
+    return Graph._from_masks(n, masks)
 
 
 # ---------------------------------------------------------------------------

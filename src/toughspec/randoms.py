@@ -10,6 +10,8 @@ graphs.
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
+from typing import Iterable
 
 from .graphs import Bipartite, Graph, SidePartition, vertex_mask
 
@@ -19,6 +21,18 @@ _PAIRING_TRIES = 5_000  # pairing restarts before random_regular gives up
 
 def _rng(seed: int | random.Random) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
+
+
+def _draw_masks(
+    n: int, pairs: Iterable[tuple[int, int]], p: float, rng: random.Random
+) -> list[int]:
+    """Neighbour masks holding each pair whose draw, taken in ``pairs`` order, is below p."""
+    masks = [0] * n
+    for u, v in pairs:
+        if rng.random() < p:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return masks
 
 
 def sample_seed(master: int, index: int) -> int:
@@ -32,14 +46,7 @@ def gnp(n: int, p: float, seed: int | random.Random) -> Graph:
         raise ValueError("gnp needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("gnp needs 0 <= p <= 1")
-    rng = _rng(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph(n, edges)
+    return Graph._from_masks(n, _draw_masks(n, combinations(range(n), 2), p, _rng(seed)))
 
 
 def connected_gnp(n: int, p: float, seed: int | random.Random) -> Graph:
@@ -58,15 +65,9 @@ def balanced_bipartite_gnp(n: int, p: float, seed: int | random.Random) -> Bipar
         raise ValueError("balanced bipartite model needs even n >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("needs 0 <= p <= 1")
-    rng = _rng(seed)
     half = n // 2
-    edges = [
-        (u, half + v)
-        for u in range(half)
-        for v in range(half)
-        if rng.random() < p
-    ]
-    g = Graph(n, edges)
+    pairs = product(range(half), range(half, n))
+    g = Graph._from_masks(n, _draw_masks(n, pairs, p, _rng(seed)))
     sides = SidePartition(frozenset(range(half)), frozenset(range(half, n)))
     return Bipartite(g, sides)
 

@@ -145,10 +145,6 @@ class QuotientMatrix:
     partition: tuple[tuple[int, ...], ...]
     equitable: bool
 
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
 
 def quotient_matrix(g: Graph, partition: Sequence[Iterable[int]]) -> QuotientMatrix:
     """Quotient of g's adjacency matrix over a partition of the vertex set."""
@@ -181,10 +177,6 @@ class CharPoly:
     def __post_init__(self) -> None:
         if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("characteristic polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, x):
         return _value_and_slope(self.coeffs, x)[0]

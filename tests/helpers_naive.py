@@ -123,6 +123,39 @@ def sympy_root_bracket(coeffs, x, h):
     return above == 0 and poly.count_roots(lo, hi) - (poly.eval(lo) == 0) >= 1
 
 
+def naive_gnp_edges(n, p, rng):
+    """G(n, p) as an edge list: one rng.random() draw per pair u < v, in
+    lexicographic order, keeping the pair when the draw is below p."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def naive_balanced_bipartite_edges(n, p, rng):
+    """Balanced bipartite G(n/2, n/2, p) as an edge list: one draw per pair
+    (u, n/2 + v), in lexicographic order."""
+    half = n // 2
+    return [(u, half + v) for u in range(half) for v in range(half) if rng.random() < p]
+
+
+def naive_nosal_equality(n, edges):
+    """Whether the graph is complete bipartite plus isolated vertices, with
+    the edgeless graph counting degenerately: the non-isolated vertices must
+    induce one connected, two-colourable graph with every cross pair an edge."""
+    if not edges:
+        return True
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    covered = {v for v in adj if adj[v]}
+    if len(_naive_components(covered, adj)) != 1:
+        return False
+    colouring = _naive_two_colouring({v: adj[v] for v in covered})
+    if colouring is None:
+        return False
+    x = sum(1 for v in covered if colouring[v] == 0)
+    return len(edges) == x * (len(covered) - x)
+
+
 def relabeled(graph_cls, g, perm):
     """The same graph with vertices renamed by the permutation list."""
     return graph_cls(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

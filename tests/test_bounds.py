@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from toughspec.bounds import (
     Bound,
+    _nosal_equality,
     brouwer_margin,
     check_bound,
 )
 from toughspec.graphs import (
+    bipartition_of,
     complete,
     complete_bipartite,
     cycle,
@@ -23,6 +25,8 @@ from toughspec.graphs import (
     petersen,
 )
 from toughspec.randoms import balanced_bipartite_gnp, connected_gnp
+
+from helpers_naive import naive_nosal_equality
 
 
 def star(leaves):
@@ -129,6 +133,25 @@ class TestBipartiteEdgeBound:
     def test_rejects_odd_cycles(self):
         with pytest.raises(ValueError, match="bipartite"):
             check_bound(cycle(5), Bound.NOSAL)
+
+    def test_equality_class_matches_structural_definition(self):
+        two_k2 = disjoint_union([path(2), path(2)])
+        assert not _nosal_equality(two_k2, bipartition_of(two_k2))
+        assert not naive_nosal_equality(two_k2.n, two_k2.edges())
+        graphs = [two_k2, empty(1), complete_bipartite(1, 1).graph]
+        for seed in range(120):
+            # sparse draws leave isolated vertices and several components
+            p = (0.1, 0.25, 0.5, 1.0)[seed % 4]
+            parts = [balanced_bipartite_gnp(2 * (1 + seed % 4), p, seed).graph,
+                     complete_bipartite(1 + seed % 3, 2).graph, empty(1 + seed % 2)]
+            graphs += [parts[0], disjoint_union(parts[: 1 + seed % 3])]
+        verdicts = set()
+        for g in graphs:
+            expected = naive_nosal_equality(g.n, g.edges())
+            assert _nosal_equality(g, bipartition_of(g)) == expected, g.edges()
+            assert check_bound(g, Bound.NOSAL).equality_case == expected, g.edges()
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestBoundsNeverViolated:

@@ -15,6 +15,40 @@ from toughspec.randoms import gnp
 
 TRIANGLE_TEXT = "3 3\n0 1\n0 2\n1 2"
 
+# malformed text -> the exact GraphFormatError message it must raise
+EDGE_LIST_ERRORS = {
+    "": "line 1: missing 'n m' header",
+    "3": "line 1: header must be 'n m', got '3'",
+    "3 x": "line 1: header must hold two integers, got '3 x'",
+    "x 3": "line 1: header must hold two integers, got 'x 3'",
+    "0 0": "line 1: order must be at least 1, got 0",
+    "3 2\n0 1": "header announces 2 edges but 1 edge lines follow",
+    "3 1\n0 1\n1 2": "header announces 1 edges but 2 edge lines follow",
+    "3 1\n0 0": "line 2: self-loop at vertex 0",
+    "3 1\n0 3": "line 2: endpoint out of range 0..2",
+    "3 2\n0 1\n1 0": "line 3: duplicate edge (0, 1)",
+    "3 1\n0 1 2": "line 2: edge must be 'u v', got '0 1 2'",
+    "3 1\n0": "line 2: edge must be 'u v', got '0'",
+    "3 1\n0 a": "line 2: edge endpoints must be integers, got '0 a'",
+    "-2 0": "line 1: order must be at least 1, got -2",
+    "3 -1": "line 1: edge count must be nonnegative",
+    "3 2\n\n0 1\n\n0 9": "line 5: endpoint out of range 0..2",  # blank lines count
+}
+GRAPH6_ERRORS = {
+    "": "empty graph6 string",
+    "D~": "graph6 body for n=5 needs 2 characters, got 1",
+    "D~{{": "graph6 body for n=5 needs 2 characters, got 3",
+    "D~\x1f": "graph6 body for n=5 needs 2 characters, got 1",  # strip() drops \x1f
+    "D~~": "graph6 padding bits must be zero",
+    "D\x1f~": "graph6 character '\\x1f' out of range",
+    "~": "truncated graph6 order",
+    "~??": "truncated graph6 order",  # 4-byte order header cut short
+    "~~?????": "truncated graph6 order",  # 8-byte order header cut short
+    "?": "graph needs at least one vertex",  # the null graph
+    "~~??????": "graph needs at least one vertex",
+    "?A": "graph6 body for n=0 needs 0 characters, got 1",
+}
+
 
 class TestEdgeList:
     def test_parse_triangle(self):
@@ -40,23 +74,11 @@ class TestEdgeList:
         text = serialize_graph(cycle(4), GraphFormat.EDGE_LIST)
         assert text.splitlines()[1:] == ["0 1", "0 3", "1 2", "2 3"]
 
-    @pytest.mark.parametrize("bad", [
-        "",                      # no header
-        "3", "3 x", "x 3",      # malformed header
-        "0 0",                   # empty graph is not allowed
-        "3 2\n0 1",              # fewer edges than promised
-        "3 1\n0 1\n1 2",         # more edges than promised
-        "3 1\n0 0",              # self-loop
-        "3 1\n0 3",              # endpoint out of range
-        "3 2\n0 1\n1 0",         # duplicate edge
-        "3 1\n0 1 2",            # too many tokens on an edge line
-        "3 1\n0",                # too few tokens on an edge line
-        "3 1\n0 a",              # non-integer endpoint
-        "-2 0",                  # negative order
-    ])
+    @pytest.mark.parametrize("bad", list(EDGE_LIST_ERRORS))
     def test_rejects_malformed_text(self, bad):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError) as info:
             parse_graph(bad, GraphFormat.EDGE_LIST)
+        assert str(info.value) == EDGE_LIST_ERRORS[bad]
 
     def test_error_reports_one_based_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):
@@ -79,26 +101,22 @@ class TestGraph6:
 
     def test_long_order_prefix_round_trip(self):
         # orders above 62 switch to the 4-byte prefix
-        g = path(70)
-        text = serialize_graph(g, GraphFormat.GRAPH6)
-        assert text[0] == "~"
-        assert parse_graph(text, GraphFormat.GRAPH6) == g
+        for n, prefix in ((62, "}"), (63, "~??~"), (64, "~?@?"), (70, "~?@E")):
+            for g in (path(n), gnp(n, 0.3, n)):
+                text = serialize_graph(g, GraphFormat.GRAPH6)
+                assert text[: len(prefix)] == prefix
+                assert parse_graph(text, GraphFormat.GRAPH6) == g
 
-    @pytest.mark.parametrize("bad", [
-        "",             # empty
-        "D~",           # truncated body for n = 5
-        "D~{{",         # extra bytes
-        "D~\x1f",       # byte below the printable range
-        "D~~",          # nonzero padding bits for K_5 minus nothing? (invalid tail)
-    ])
+    @pytest.mark.parametrize("bad", list(GRAPH6_ERRORS))
     def test_rejects_malformed_graph6(self, bad):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError) as info:
             parse_graph(bad, GraphFormat.GRAPH6)
+        assert str(info.value) == GRAPH6_ERRORS[bad]
 
     def test_rejects_nonzero_padding_bits(self):
         # P_2 is "A_"; "A`" flips a padding bit that must be zero
         assert serialize_graph(path(2), GraphFormat.GRAPH6) == "A_"
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="^graph6 padding bits must be zero$"):
             parse_graph("A`", GraphFormat.GRAPH6)
 
 

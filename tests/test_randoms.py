@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toughspec.graphs import Bipartite
+from toughspec.graphs import Bipartite, Graph
 from toughspec.randoms import (
     balanced_bipartite_gnp,
     connected_gnp,
@@ -13,6 +13,8 @@ from toughspec.randoms import (
     random_regular,
     sample_seed,
 )
+
+from helpers_naive import naive_balanced_bipartite_edges, naive_gnp_edges
 
 
 class TestDeterminism:
@@ -39,6 +41,26 @@ class TestDeterminism:
         g2 = gnp(8, 0.5, rng)  # continues the same stream
         assert g1 == gnp(8, 0.5, random.Random(7))
         assert g1 != g2 or g1.m == g2.m  # streams moved on
+
+
+class TestEdgeListConstruction:
+    """The mask-native models draw exactly as the edge-list construction did:
+    same graph, and the generator left at the same point of its stream."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_gnp(self, p):
+        for n in range(1, 25):
+            rng, ref = random.Random(n), random.Random(n)
+            assert gnp(n, p, rng) == Graph(n, naive_gnp_edges(n, p, ref))
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_balanced_bipartite_gnp(self, p):
+        for n in range(2, 25, 2):
+            rng, ref = random.Random(n), random.Random(n)
+            g = balanced_bipartite_gnp(n, p, rng).graph
+            assert g == Graph(n, naive_balanced_bipartite_edges(n, p, ref))
+            assert rng.random() == ref.random()
 
 
 class TestGnp:
