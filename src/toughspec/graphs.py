@@ -313,20 +313,29 @@ def bipartition_of(g: Graph) -> SidePartition | None:
     """Two-color g, or return None if some component has an odd cycle.
 
     Deterministic: each component's smallest vertex is colored into side X.
-    The coloring comes from the component kernel run on the bipartite double
-    cover (vertex v split into v and n + v, each edge uv into u-(n + v) and
-    v-(n + u)).  The cover component of a root r holds r's side in its low
-    half and the other side in its high half; the two halves meet exactly when
-    r's component has an odd cycle.
+    A breadth-first search from it walks the component layer by layer as
+    bitmasks; even layers go to X and odd layers to Y.  Every edge joins one
+    layer to itself or to the next, so g is bipartite exactly when no layer
+    reaches into itself, and the search returns None at the first layer that
+    does.
     """
-    n, full = g.n, (1 << g.n) - 1
-    cover = [mask << n for mask in g.masks] + list(g.masks)
-    x = seen = 0
-    for comp in component_masks(cover, (1 << 2 * n) - 1):
-        low, high = comp & full, comp >> n
-        if low & high:
-            return None
-        if not low & seen:  # components come by smallest member: r's is first
-            x |= low
-            seen |= low | high
+    masks, full = g.masks, (1 << g.n) - 1
+    remaining, x = full, 0
+    while remaining:
+        layer = seen = remaining & -remaining
+        even = True
+        while layer:
+            reach, frontier = 0, layer
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                reach |= masks[bit.bit_length() - 1]
+            if reach & layer:  # an edge inside the layer closes an odd cycle
+                return None
+            if even:
+                x |= layer
+            layer = reach & ~seen
+            seen |= layer
+            even = not even
+        remaining &= ~seen
     return SidePartition(frozenset(_members(x)), frozenset(_members(full & ~x)))

@@ -24,6 +24,7 @@ from toughspec.families import FamilySpec, build_family, family_graph, matches_f
 from toughspec.graphio import GraphFormat, parse_graph, serialize_graph
 from toughspec.graphs import complete, complete_bipartite, cycle, empty, join, path, petersen
 from toughspec.lemmas import ComparisonReport, Lemma, RotationReport
+from toughspec.spectra import DENSE_CAP
 from toughspec.toughness import CutWitness
 from toughspec.verify import (
     CounterexampleRecord,
@@ -89,6 +90,12 @@ class TestRho:
     def test_needs_some_source(self, capsys):
         assert run(["rho"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_component_is_refused(self, capsys, graph_file):
+        assert run(["rho", "--in", graph_file(path(DENSE_CAP + 1))]) == 1
+        assert capsys.readouterr().err == (
+            f"error: spectral radius capped at components of <= {DENSE_CAP} "
+            f"vertices, got {DENSE_CAP + 1}\n")
 
 
 class TestSpectrum:

@@ -1,5 +1,7 @@
 """Graph container, constructors, and bipartition detection."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,9 +22,9 @@ from toughspec.graphs import (
     petersen,
 )
 from toughspec.families import clique_with_satellites, split_join
-from toughspec.randoms import gnp
+from toughspec.randoms import balanced_bipartite_gnp, gnp
 
-from helpers_naive import naive_component_count, relabeled
+from helpers_naive import _naive_two_colouring, naive_component_count, relabeled
 
 
 class TestGraphBasics:
@@ -229,6 +231,24 @@ class TestBipartite:
         g = disjoint_union([path(2), path(2)])
         sides = bipartition_of(g)
         assert sides.x == frozenset({0, 2})
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bipartition_of_matches_naive_two_colouring(self, seed):
+        rng = random.Random(seed)
+        parts = [empty(rng.randint(1, 3)),
+                 balanced_bipartite_gnp(2 * rng.randint(1, 6), rng.random(), seed).graph,
+                 gnp(rng.randint(1, 10), rng.random() / 2, seed),
+                 cycle(rng.randint(3, 8)), path(rng.randint(1, 5))]
+        rng.shuffle(parts)
+        g = disjoint_union(parts[: rng.randint(1, 5)])
+        g = relabeled(Graph, g, rng.sample(range(g.n), g.n))
+        colouring = _naive_two_colouring({v: set(g.adj[v]) for v in range(g.n)})
+        sides = bipartition_of(g)
+        if colouring is None:
+            assert sides is None, g.edges()
+        else:
+            assert sides.x == frozenset(v for v in range(g.n) if colouring[v] == 0), g.edges()
+            sides.validate_for(g)
 
 
 @settings(deadline=None, max_examples=60)

@@ -18,12 +18,13 @@ from toughspec.graphs import (
     path,
     petersen,
 )
-from toughspec.randoms import connected_gnp, gnp
+from toughspec.randoms import balanced_bipartite_gnp, connected_gnp, gnp
 from toughspec.spectra import (
     DENSE_CAP,
     RADIUS_TOL,
     CharPoly,
     RootIsolationError,
+    _power_iteration,
     adjacency_matrix,
     char_poly,
     full_spectrum,
@@ -33,7 +34,7 @@ from toughspec.spectra import (
     spectral_radius,
 )
 
-from helpers_naive import sympy_char_poly_coeffs, sympy_root_bracket
+from helpers_naive import naive_power_iteration, sympy_char_poly_coeffs, sympy_root_bracket
 
 
 def _product(roots):
@@ -102,6 +103,47 @@ class TestSpectralRadius:
         g = gnp(n, 0.3, seed)
         dense = max(full_spectrum(g))
         assert spectral_radius(g).radius == pytest.approx(dense, abs=1e-8)
+
+    def test_oversized_component_is_refused(self):
+        with pytest.raises(ValueError, match=f"components of <= {DENSE_CAP} vertices"):
+            spectral_radius(path(DENSE_CAP + 1))
+
+    def test_cap_applies_per_component(self):
+        assert spectral_radius(empty(5000)).radius == 0.0
+        res = spectral_radius(disjoint_union([path(600), path(600)]))
+        assert res.radius == pytest.approx(2 * math.cos(math.pi / 601), abs=1e-9)
+        assert res.perron is None
+
+
+def _bit_identity_graphs():
+    yield from (family_graph(spec) for spec in (
+        FamilySpec.tough_int(14, 2),
+        FamilySpec.tough_frac_delta(16, 1, 2),
+        FamilySpec.bip_int_div(24, 2),
+        FamilySpec.bip_int_nondiv_a(270, 10),
+        FamilySpec.bip_int_nondiv_b(22, 2),
+        FamilySpec.bip_frac(16, 2),
+    ))
+    yield from (path(60), cycle(9), join(complete(1), empty(21)), petersen(),
+                complete_bipartite(13, 40).graph)
+    for seed in range(50):
+        yield gnp(4 + seed % 37, 0.1 + seed % 9 / 10, seed)
+        yield balanced_bipartite_gnp(4 + 2 * (seed % 19), 0.1 + seed % 9 / 10, seed).graph
+
+
+def test_power_iteration_matches_the_allocating_loop_bit_for_bit():
+    """The in-place kernel makes the same floating-point operations in the same
+    order as a loop that allocates every intermediate, so every iterate is
+    the same, on any BLAS."""
+    for g in _bit_identity_graphs():
+        for comp in g.components():
+            if len(comp) == 1:
+                continue
+            a = adjacency_matrix(g.induced(comp))
+            lam, x, it, res = _power_iteration(a)
+            want_lam, want_x, want_it, want_res = naive_power_iteration(a)
+            assert (lam.hex(), it, res.hex()) == (want_lam.hex(), want_it, want_res.hex()), g
+            assert np.array_equal(x, want_x), g
 
 
 class TestFullSpectrum:
