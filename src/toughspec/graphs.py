@@ -30,8 +30,9 @@ def component_masks(masks: tuple[int, ...], remaining: int) -> list[int]:
     """Connected components of the subgraph induced on the vertex set
     ``remaining``, as bitmasks ordered by their smallest member.
 
-    Connectivity checks, component lists and the bipartition go through it;
-    the toughness cut scan counts components with its own lookup tables.
+    Connectivity checks, component lists and the spectral radius go through
+    it; the bipartition runs its own layered search, and the toughness cut
+    scan counts components with its own lookup tables.
     """
     comps = []
     while remaining:

@@ -242,7 +242,7 @@ class TestBipartite:
         rng.shuffle(parts)
         g = disjoint_union(parts[: rng.randint(1, 5)])
         g = relabeled(Graph, g, rng.sample(range(g.n), g.n))
-        colouring = _naive_two_colouring({v: set(g.adj[v]) for v in range(g.n)})
+        colouring = _naive_two_colouring({v: set(nbrs) for v, nbrs in enumerate(g.adj)})
         sides = bipartition_of(g)
         if colouring is None:
             assert sides is None, g.edges()
