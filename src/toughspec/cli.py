@@ -148,7 +148,7 @@ def cmd_tough(ns):
     if ns.kind == "toughness":
         value, witness = toughness(g)
     elif ns.kind == "variation":
-        value, witness = variation_toughness(g, divisible_only=ns.divisible_only)
+        value, witness = variation_toughness(g)
     else:
         if g.n > 2 * ENUMERATION_CAP:  # refused before the superlinear bipartition
             raise ValueError(f"cut enumeration over a side of at least {(g.n + 1) // 2} "
@@ -327,8 +327,6 @@ COMMANDS = (
     Command("tough", cmd_tough, "exact toughness with a witness cut", "in", (
         _arg("--kind", default="variation", choices=[
             "toughness", "variation", "bipartite-toughness", "bipartite-variation"]),
-        _arg("--divisible-only", action="store_true",
-             help="restrict variation cuts to divisibility-compatible ones"),
     ), ("json",)),
     Command("construct", cmd_construct, "build an extremal family graph", None,
             (_arg("--family", required=True, choices=_FAMILIES),), ("params", "format")),

@@ -73,8 +73,8 @@ def _union_tables(masks):
     return half, *tables
 
 
-def _scan_min(g, universe, max_size, shift, cap, first_below=None, divisible_only=False):
-    """Minimum cut ratio over subsets of ``universe`` up to ``max_size``.
+def _scan_min(g, universe, shift, cap, first_below=None):
+    """Minimum cut ratio over the proper subsets of ``universe``.
 
     Returns (best ratio, witness); the witness is None when no cut beats the
     starting bound, which is INFINITE or ``first_below``.  Sizes start at
@@ -83,6 +83,9 @@ def _scan_min(g, universe, max_size, shift, cap, first_below=None, divisible_onl
     neighbours, so kappa(G) >= mu.  Sizes stop once even the best case,
     min(cap, n - size) components, cannot beat the current bound or is below
     two; ``cap`` is n, or the other side's order for a one-sided universe.
+    Sizes stay below |universe|, so a one-sided cut never takes a whole side;
+    a whole-graph scan needs no tighter stop, as at size n - 1 the best case
+    is one component and the loop has already broken.
     Skipped cuts all leave one component or cannot improve, so the first
     strict minimizer is kept.  With ``first_below`` the scan instead stops at
     the first cut whose ratio is below it.  Each BFS step is two
@@ -99,7 +102,7 @@ def _scan_min(g, universe, max_size, shift, cap, first_below=None, divisible_onl
     best = INFINITE if first_below is None else first_below
     bn, bd = (1, 0) if best is INFINITE else (best.numerator, best.denominator)
     witness = None
-    for size in range(max(1, mu), max_size + 1):
+    for size in range(max(1, mu), len(universe)):
         cmax = min(cap, n - size)
         if cmax < 2 or size * bd >= (cmax - shift) * bn:
             break
@@ -114,8 +117,7 @@ def _scan_min(g, universe, max_size, shift, cap, first_below=None, divisible_onl
                     rest ^= frontier
                 c += 1
             d = c - shift
-            # divisible_only drops cuts where neither |S| nor c - shift divides the other
-            if c > 1 and size * bd < d * bn and not (divisible_only and size % d and d % size):
+            if c > 1 and size * bd < d * bn:
                 bn, bd = size, d
                 best = Fraction(size, d)
                 witness = CutWitness(frozenset(b.bit_length() - 1 for b in combo), c, best)
@@ -137,7 +139,7 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("toughness is defined for connected graphs only")
 
 
-def _scan_graph(g, shift, first_below=None, divisible_only=False):
+def _scan_graph(g, shift, first_below=None):
     """The preamble of the whole-graph quantities, then their scan.
 
     The cap is checked before connectivity, whose search is itself superlinear
@@ -148,7 +150,7 @@ def _scan_graph(g, shift, first_below=None, divisible_only=False):
     _require_connected(g)
     if g.is_complete():
         return INFINITE, None
-    return _scan_min(g, range(g.n), g.n - 2, shift, g.n, first_below, divisible_only)
+    return _scan_min(g, range(g.n), shift, g.n, first_below)
 
 
 def toughness(g: Graph) -> tuple[Fraction | float, CutWitness | None]:
@@ -156,16 +158,9 @@ def toughness(g: Graph) -> tuple[Fraction | float, CutWitness | None]:
     return _scan_graph(g, shift=0)
 
 
-def variation_toughness(
-    g: Graph, divisible_only: bool = False
-) -> tuple[Fraction | float, CutWitness | None]:
-    """Variation toughness min |S| / (c(G-S) - 1); INFINITE for complete graphs.
-
-    ``divisible_only`` restricts the scan to cuts where |S| and c(G-S) - 1
-    divide one another; it is off by default and exists only for exploring
-    that restricted notion.
-    """
-    return _scan_graph(g, shift=1, divisible_only=divisible_only)
+def variation_toughness(g: Graph) -> tuple[Fraction | float, CutWitness | None]:
+    """Variation toughness min |S| / (c(G-S) - 1); INFINITE for complete graphs."""
+    return _scan_graph(g, shift=1)
 
 
 def is_tau_tough(g: Graph, tau: Fraction | int) -> tuple[bool, CutWitness | None]:
@@ -202,7 +197,7 @@ def bipartite_toughness(
     witness = None
     for label, side, other in (("X", sides.x, sides.y), ("Y", sides.y, sides.x)):
         universe = sorted(side)
-        found, side_witness = _scan_min(g, universe, len(universe) - 1, shift, len(other))
+        found, side_witness = _scan_min(g, universe, shift, len(other))
         if found < best:
             best = found
             witness = replace(side_witness, side=label)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .families import FamilySpec, build_family, family_graph, matches_family
 from .graphio import serialize_graph
-from .graphs import Bipartite, Graph, bipartition_of
+from .graphs import Bipartite, Graph, _members, bipartition_of
 from .randoms import gnp, balanced_bipartite_gnp, sample_seed
 from .spectra import spectral_radius
 from .toughness import (
@@ -151,8 +151,10 @@ def check_graph_against_theorem(g: Graph, t: TheoremId) -> Verdict:
             raise ValueError("theorem applies to bipartite graphs")
         if not sides.is_balanced():
             raise ValueError("theorem applies to balanced bipartite graphs")
-    thr, winner_spec = _threshold_detail(t)
+    # the input's radius first, so an over-cap input is refused before the
+    # same-order family is built
     rho = spectral_radius(g).radius
+    thr, winner_spec = _threshold_detail(t)
     if rho < thr - RHO_THRESHOLD_TOL:
         return Verdict(VerdictStatus.BELOW, rho, thr)
     tau = t.required_toughness()
@@ -264,32 +266,26 @@ _SAMPLER_TRIES = 10_000
 def _sample_matching_graph(t: TheoremId, rng: random.Random) -> Graph:
     """One random connected graph satisfying the theorem's side conditions."""
     n = t.n
-    if t.theorem in (Theorem.BIP_INT, Theorem.BIP_FRAC):
-        for _ in range(_SAMPLER_TRIES):
-            g = balanced_bipartite_gnp(n, rng.uniform(0.3, 1.0), rng).graph
-            if g.is_connected():
-                return g
-    elif t.theorem is Theorem.TOUGH_INT:
-        for _ in range(_SAMPLER_TRIES):
-            g = gnp(n, rng.uniform(0.3, 1.0), rng)
-            if g.is_connected():
-                return g
-    else:
+    bipartite = t.theorem in (Theorem.BIP_INT, Theorem.BIP_FRAC)
+    delta = t.delta if t.theorem is Theorem.TOUGH_FRAC_MINDEG else None
+    low, high = (0.3, 1.0) if delta is None else (0.35, 0.95)
+    for _ in range(_SAMPLER_TRIES):
+        p = rng.uniform(low, high)
+        g = balanced_bipartite_gnp(n, p, rng).graph if bipartite else gnp(n, p, rng)
+        if not g.is_connected():
+            continue
+        if delta is None:
+            return g
         # condition on minimum degree exactly delta: prune one random vertex
-        # of a dense sample down to delta neighbors, then reject failures
-        delta = t.delta
-        for _ in range(_SAMPLER_TRIES):
-            g = gnp(n, rng.uniform(0.35, 0.95), rng)
-            if not g.is_connected():
-                continue
-            v = rng.randrange(n)
-            if g.degree(v) < delta:
-                continue
-            nbrs = g.adj[v]
-            keep = set(rng.sample(nbrs, delta))
-            pruned = g.without_edges([(v, w) for w in nbrs if w not in keep])
-            if pruned.is_connected() and pruned.min_degree() == delta:
-                return pruned
+        # of a dense sample down to delta neighbours, then reject failures
+        v = rng.randrange(n)
+        nbrs = _members(g.masks[v])
+        if len(nbrs) < delta:
+            continue
+        keep = set(rng.sample(nbrs, delta))
+        pruned = g.without_edges([(v, w) for w in nbrs if w not in keep])
+        if pruned.is_connected() and pruned.min_degree() == delta:
+            return pruned
     raise RuntimeError(f"could not sample a graph matching {t} side conditions")
 
 

@@ -35,8 +35,7 @@ def naive_component_count(n, edges, removed=()):
     return count
 
 
-def naive_min_cut_ratio(n, edges, shift, universe=None, proper=False,
-                        divisible_only=False):
+def naive_min_cut_ratio(n, edges, shift, universe=None, proper=False):
     """Minimum |S| / (components - shift) by full enumeration.
 
     ``universe`` restricts cuts to subsets of those vertices; ``proper`` keeps
@@ -51,10 +50,6 @@ def naive_min_cut_ratio(n, edges, shift, universe=None, proper=False,
             c = naive_component_count(n, edges, combo)
             if c < 2:
                 continue
-            if divisible_only:
-                d = c - shift
-                if size % d != 0 and d % size != 0:
-                    continue
             ratio = Fraction(size, c - shift)
             if ratio < best:
                 best = ratio
@@ -87,9 +82,8 @@ def naive_toughness(g):
     return naive_min_cut_ratio(g.n, g.edges(), shift=0)
 
 
-def naive_variation(g, divisible_only=False):
-    return naive_min_cut_ratio(g.n, g.edges(), shift=1,
-                               divisible_only=divisible_only)
+def naive_variation(g):
+    return naive_min_cut_ratio(g.n, g.edges(), shift=1)
 
 
 def naive_one_sided(g, side_x, side_y, shift):

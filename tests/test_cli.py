@@ -144,11 +144,11 @@ class TestTough:
             "components: 2 side=X",
         ]
 
-    def test_divisibility_restricted_variation(self, capsys, graph_file):
+    def test_no_divisible_only_flag(self, capsys, graph_file):
+        # variation toughness has no divisibility-restricted mode
         target = graph_file(join(complete(2), empty(4)))
-        assert run(["tough", "--in", target, "--divisible-only"]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines() == ["variation = 4", "cut: 0 1 2 3", "components: 2"]
+        assert run(["tough", "--in", target, "--divisible-only"]) == 1
+        assert "--divisible-only" in capsys.readouterr().err
 
     def test_infinite_value(self, capsys, graph_file):
         assert run(["tough", "--in", graph_file(complete(5))]) == 0

@@ -114,6 +114,8 @@ class TestVariationToughness:
     def test_star(self):
         value, _ = variation_toughness(star(3))
         assert value == Fraction(1, 2)
+        # K2 joined to four isolated vertices: the K2 cut leaves four components
+        assert variation_toughness(join(complete(2), empty(4)))[0] == Fraction(2, 3)
 
     def test_cycles(self):
         assert variation_toughness(cycle(4))[0] == Fraction(2)
@@ -133,20 +135,6 @@ class TestVariationToughness:
     def test_complete_graph(self):
         value, witness = variation_toughness(complete(4))
         assert value is INFINITE and witness is None
-
-    def test_divisible_only_restriction_changes_the_value(self):
-        g = join(complete(2), empty(4))
-        assert variation_toughness(g)[0] == Fraction(2, 3)
-        value, witness = variation_toughness(g, divisible_only=True)
-        assert value == Fraction(4)
-        assert witness.cut == frozenset({0, 1, 2, 3})
-        naive, _ = naive_min_cut_ratio(g.n, g.edges(), shift=1, divisible_only=True)
-        assert value == naive
-
-    def test_divisible_only_keeps_dividing_pairs(self):
-        # the star's center cut pairs |S| = 1 with c - 1 = 3, and 1 divides 3
-        value, _ = variation_toughness(star(4), divisible_only=True)
-        assert value == Fraction(1, 3)
 
 
 class TestIsTauTough:
@@ -356,11 +344,8 @@ class TestTableDrivenScan:
     )
     def test_whole_graph_quantities_at_odd_order(self, seed, n, p, tau):
         g = connected_gnp(n, p, seed)
-        scans = ((toughness, 0, False), (variation_toughness, 1, False),
-                 (lambda g: variation_toughness(g, divisible_only=True), 1, True))
-        for scan, shift, divisible_only in scans:
-            value, cut = naive_min_cut_ratio(g.n, g.edges(), shift,
-                                             divisible_only=divisible_only)
+        for scan, shift in ((toughness, 0), (variation_toughness, 1)):
+            value, cut = naive_min_cut_ratio(g.n, g.edges(), shift)
             assert scan(g) == (value, naive_witness(g, cut, shift))
         witness = naive_first_witness(g, tau)
         assert is_tau_tough(g, tau) == (witness is None, witness)
@@ -440,11 +425,8 @@ class TestSizeWindow:
             assert g.is_complete()
         else:
             assert common_neighbour_floor(g) <= kappa
-        scans = ((toughness, 0, False), (variation_toughness, 1, False),
-                 (lambda g: variation_toughness(g, divisible_only=True), 1, True))
-        for scan, shift, divisible_only in scans:
-            value, cut = naive_min_cut_ratio(g.n, g.edges(), shift,
-                                             divisible_only=divisible_only)
+        for scan, shift in ((toughness, 0), (variation_toughness, 1)):
+            value, cut = naive_min_cut_ratio(g.n, g.edges(), shift)
             assert scan(g) == (value, naive_witness(g, cut, shift))
         for tau in self.TAUS:
             witness = naive_first_witness(g, tau)

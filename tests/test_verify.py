@@ -16,9 +16,11 @@ from toughspec.graphs import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    path,
 )
-from toughspec.spectra import adjacency_matrix, spectral_radius
+from toughspec.spectra import DENSE_CAP, adjacency_matrix, spectral_radius
 from toughspec.toughness import CutWitness
+from toughspec import verify
 from toughspec.verify import (
     CounterexampleRecord,
     SearchReport,
@@ -226,6 +228,18 @@ class TestVerdicts:
         )
         assert verdict.status is VerdictStatus.COUNTEREXAMPLE
         assert verdict.witness is not None
+
+    def test_over_cap_input_refused_before_the_family_is_built(self, monkeypatch):
+        # the theorem order comes from the input, so an over-cap input must be
+        # refused on its own radius, not on the same-order family's
+        def no_family(spec):
+            raise AssertionError("family built for an over-cap input")
+
+        verify._threshold_detail.cache_clear()
+        monkeypatch.setattr(verify, "family_graph", no_family)
+        n = DENSE_CAP + 1
+        with pytest.raises(ValueError, match=f"components of <= {DENSE_CAP} vertices, got {n}"):
+            check_graph_against_theorem(path(n), TheoremId(Theorem.TOUGH_INT, n, tau=2))
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError, match="order"):
