@@ -52,7 +52,6 @@ from .randoms import (
 )
 from .spectra import (
     CharPoly,
-    PowerIterationError,
     QuotientMatrix,
     RootIsolationError,
     SpectralResult,

@@ -1,16 +1,16 @@
-"""Adjacency spectra: power iteration for the spectral radius, a dense solver
-for full spectra, and exact rational quotient-matrix characteristic polynomials.
+"""Adjacency spectra: the spectral radius, full spectra by the dense solver,
+and exact rational quotient-matrix characteristic polynomials.
 
-The power iteration runs on A + I in three vectors allocated once per call.
-It makes the same floating-point operations in the same order as a loop that
-allocates every intermediate, so its radius, iteration count, residual and
-Perron vector are bit-identical to that loop's.  The shift shrinks the -lambda_1
-mode of a bipartite graph only by (lambda_1 - 1)/(lambda_1 + 1) per step: on the
-criterion-3 grid the bipartite families with 300 <= n <= 400 take 1,189-2,069
-iterations (about 25 ms at n = 402 on a 2-core x86-64 host), the clique
-families 5-26.  Both ``spectral_radius`` and ``full_spectrum`` hold a dense
-n x n matrix, so they refuse more than ``DENSE_CAP`` vertices (per component
-for the radius) with ValueError before allocating it.
+``spectral_radius`` solves components on at most ``SMALL_ORDER`` vertices with
+``np.linalg.eigh``, larger ones by power iteration on A + I in three vectors
+allocated once per call, bit-identical to a loop that allocates every
+intermediate.  The shift shrinks the -lambda_1 mode of a bipartite graph only
+by (lambda_1 - 1)/(lambda_1 + 1) per step: the criterion-3 grid's bipartite
+families with 300 <= n <= 400 take 1,189-2,069 steps (25 ms at n = 402 on a
+2-core x86-64 host).  Past ``MAX_ITERATIONS`` steps (a long path needs about
+0.36 n^2) the dense solver answers.  Both routes and ``full_spectrum`` hold a
+dense n x n matrix, so they refuse over ``DENSE_CAP`` vertices (per component
+for the radius) with ValueError first.
 
 The spectral radius and the quotient-polynomial root are deliberately computed
 by two unrelated routes (iterative linear algebra vs a certified polynomial
@@ -30,14 +30,13 @@ import numpy as np
 
 from .graphs import Graph, _members, component_masks, vertex_mask
 
-RADIUS_TOL = 1e-10  # power-iteration residual; also bounds the root certificate
-MAX_ITERATIONS = 1_000_000
+RADIUS_TOL = 1e-10  # radius residual; also bounds the root certificate
+MAX_ITERATIONS = 10_000  # about 5x the criterion-3 grid's worst, 2,069 steps
 _NEWTON_STEPS = 200  # cap on the float and on the exact Newton steps of a root
 DENSE_CAP = 1000
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when power iteration fails to meet tolerance within the cap."""
+SMALL_ORDER = 24  # largest measured order where eigh beat every power iteration:
+# 22 / 47 / 65 us at n = 16 / 24 / 32 against 56-189 / 56-246 / 52-154 us on six
+# connected G(n, p) each, on a 2-core x86-64 host
 
 
 class RootIsolationError(ValueError):
@@ -75,12 +74,20 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a[:, : g.n]
 
 
+def _dense(a: np.ndarray, iterations: int = 0):
+    """``_power_iteration``'s (radius, |top eigenvector|, iterations,
+    max |a x - radius x|) for the symmetric ``a``, by ``np.linalg.eigh``."""
+    w, v = np.linalg.eigh(a)
+    lam, x = float(w[-1]), np.abs(v[:, -1])
+    return lam, x, iterations, float(np.abs(a @ x - lam * x).max())
+
+
 def _power_iteration(a: np.ndarray):
     """Largest eigenvalue of the symmetric 0/1 matrix ``a``.
 
-    Iterates on a + I: the shift breaks the +/-lambda oscillation on bipartite
-    graphs, and for a connected graph makes the top eigenvalue strictly
-    dominant, so convergence is guaranteed.  Starts from the all-ones vector.
+    Iterates on a + I from the all-ones vector: the shift breaks the +/-lambda
+    oscillation on bipartite graphs and makes a connected graph's top eigenvalue
+    strictly dominant.  Past ``MAX_ITERATIONS`` steps the dense solver answers.
     Each step writes into three vectors allocated once per call; the norm is
     sqrt(y . y), which is what ``np.linalg.norm`` computes for a float vector.
     """
@@ -99,14 +106,18 @@ def _power_iteration(a: np.ndarray):
         np.add(z, x, out=y)
         np.divide(y, math.sqrt(np.dot(y, y)), out=x)
         np.matmul(a, x, out=z)
-    raise PowerIterationError(
-        f"power iteration did not reach tol={RADIUS_TOL} within {MAX_ITERATIONS} iterations"
-    )
+    return _dense(a, MAX_ITERATIONS)
+
+
+def _solve(a: np.ndarray):
+    return _dense(a) if a.shape[0] <= SMALL_ORDER else _power_iteration(a)
 
 
 def spectral_radius(g: Graph) -> SpectralResult:
     """Spectral radius of the adjacency matrix.
 
+    Components on at most ``SMALL_ORDER`` vertices go to the dense solver,
+    larger ones to the power iteration; ``iterations`` sums the latter's steps.
     Disconnected input is allowed: the radius is the maximum over components
     and no Perron vector is reported.  A component on more than ``DENSE_CAP``
     vertices raises ValueError before any matrix is allocated.
@@ -120,13 +131,13 @@ def spectral_radius(g: Graph) -> SpectralResult:
             f"spectral radius capped at components of <= {DENSE_CAP} vertices, got {largest}"
         )
     if len(comps) == 1:
-        lam, x, it, res = _power_iteration(adjacency_matrix(g))
+        lam, x, it, res = _solve(adjacency_matrix(g))
         return SpectralResult(lam, it, res, x)
     best, iters, worst = 0.0, 0, 0.0
     for comp in comps:
         if comp.bit_count() == 1:
             continue
-        lam, _, it, res = _power_iteration(adjacency_matrix(g.induced(_members(comp))))
+        lam, _, it, res = _solve(adjacency_matrix(g.induced(_members(comp))))
         best = max(best, lam)
         iters += it
         worst = max(worst, res)

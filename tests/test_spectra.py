@@ -21,7 +21,9 @@ from toughspec.graphs import (
 from toughspec.randoms import balanced_bipartite_gnp, connected_gnp, gnp
 from toughspec.spectra import (
     DENSE_CAP,
+    MAX_ITERATIONS,
     RADIUS_TOL,
+    SMALL_ORDER,
     CharPoly,
     RootIsolationError,
     _power_iteration,
@@ -144,6 +146,30 @@ def test_power_iteration_matches_the_allocating_loop_bit_for_bit():
             want_lam, want_x, want_it, want_res = naive_power_iteration(a)
             assert (lam.hex(), it, res.hex()) == (want_lam.hex(), want_it, want_res.hex()), g
             assert np.array_equal(x, want_x), g
+
+
+def test_small_components_take_the_dense_solver():
+    """Up to SMALL_ORDER vertices the radius comes from eigh, with no power
+    iteration, and agrees with both the power iteration and the spectrum."""
+    for g in _bit_identity_graphs():
+        for comp in g.components():
+            if len(comp) > SMALL_ORDER:
+                continue
+            h = g.induced(comp)
+            res = spectral_radius(h)
+            assert res.iterations == 0 and res.residual <= RADIUS_TOL, comp
+            scale = 1e-12 * max(1.0, res.radius)
+            assert abs(res.radius - _power_iteration(adjacency_matrix(h))[0]) <= scale
+            assert abs(res.radius - max(full_spectrum(h))) <= scale
+            assert abs(np.linalg.norm(res.perron) - 1.0) <= 1e-12 and (res.perron > 0).all()
+
+
+def test_unconverged_power_iteration_falls_back_to_the_dense_solver():
+    res = spectral_radius(path(300))  # about 42,600 steps to converge
+    assert res.iterations == MAX_ITERATIONS
+    assert res.residual <= RADIUS_TOL
+    assert abs(res.radius - 2 * math.cos(math.pi / 301)) <= 1e-12
+    assert res.perron is not None and (res.perron > 0).all()
 
 
 class TestFullSpectrum:
