@@ -58,6 +58,7 @@ from .spectra import (
     char_poly,
     full_spectrum,
     largest_real_root,
+    perron_vector,
     quotient_matrix,
     second_largest_absolute_eigenvalue,
     spectral_radius,

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .families import split_join
 from .graphs import Graph, complete, disjoint_union, join
-from .spectra import spectral_radius
+from .spectra import perron_vector, spectral_radius
 
 
 class Lemma(str, Enum):
@@ -159,7 +159,7 @@ def rotation_experiment(
     if not all(g.has_edge(u, v) for u in sett for v in set2):
         raise ValueError("t must be completely joined to s2")
     before = spectral_radius(g)
-    x = before.perron
+    x = perron_vector(g)
     rotated = g.without_edges(
         [(u, v) for u in sett for v in set2]
     ).with_edges([(u, v) for u in sett for v in set1])

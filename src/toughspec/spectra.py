@@ -1,22 +1,23 @@
-"""Adjacency spectra: the spectral radius, full spectra by the dense solver,
-and exact rational quotient-matrix characteristic polynomials.
+"""Adjacency spectra: the spectral radius, the Perron vector, full spectra, and
+exact rational quotient-matrix characteristic polynomials.
 
-``spectral_radius`` solves components on at most ``SMALL_ORDER`` vertices with
-``np.linalg.eigh``, larger ones by power iteration on A + I in three vectors
-allocated once per call, bit-identical to a loop that allocates every
-intermediate.  The shift shrinks the -lambda_1 mode of a bipartite graph only
-by (lambda_1 - 1)/(lambda_1 + 1) per step: the criterion-3 grid's bipartite
-families with 300 <= n <= 400 take 1,189-2,069 steps (25 ms at n = 402 on a
-2-core x86-64 host).  Past ``MAX_ITERATIONS`` steps (a long path needs about
-0.36 n^2) the dense solver answers.  Both routes and ``full_spectrum`` hold a
-dense n x n matrix, so they refuse over ``DENSE_CAP`` vertices (per component
-for the radius) with ValueError first.
+``spectral_radius`` solves each component on at most ``SMALL_ORDER`` vertices
+for its top eigenvalue alone, by ``np.linalg.eigvalsh``; larger ones run a power
+iteration on A + I in three vectors allocated once per call, bit-identical to a
+loop that allocates every intermediate.  The shift shrinks the -lambda_1 mode of
+a bipartite graph only by (lambda_1 - 1)/(lambda_1 + 1) per step: the
+criterion-3 grid's bipartite families with 300 <= n <= 400 take 1,189-2,069
+steps (25 ms at n = 402 on a 2-core x86-64 host).  Past ``MAX_ITERATIONS`` steps
+(a long path needs about 0.36 n^2) ``eigvalsh`` answers.  No radius route keeps
+an eigenvector; ``perron_vector`` gets one from ``np.linalg.eigh``.  Every route
+holds a dense n x n matrix, so each refuses over ``DENSE_CAP`` vertices (per
+component for the radius) with ValueError first.
 
 The spectral radius and the quotient-polynomial root are deliberately computed
-by two unrelated routes (iterative linear algebra vs a certified polynomial
-root) so each can check the other on the extremal families.  A certified root
-x comes with an exact proof, by Descartes' rule of signs in rationals, that the
-largest real root lies in (x - h, x + h] for some h <= RADIUS_TOL * max(1, |x|).
+by two unrelated routes (linear algebra vs a certified polynomial root) so each
+can check the other on the extremal families.  A certified root x comes with an
+exact proof, by Descartes' rule of signs in rationals, that the largest real
+root lies in (x - h, x + h] for some h <= RADIUS_TOL * max(1, |x|).
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ RADIUS_TOL = 1e-10  # radius residual; also bounds the root certificate
 MAX_ITERATIONS = 10_000  # about 5x the criterion-3 grid's worst, 2,069 steps
 _NEWTON_STEPS = 200  # cap on the float and on the exact Newton steps of a root
 DENSE_CAP = 1000
-SMALL_ORDER = 24  # largest measured order where eigh beat every power iteration:
-# 22 / 47 / 65 us at n = 16 / 24 / 32 against 56-189 / 56-246 / 52-154 us on six
-# connected G(n, p) each, on a 2-core x86-64 host
+SMALL_ORDER = 24  # eigvalsh: 15 / 28-39 / 44-68 us at n = 16 / 24 / 32, against 78-345 /
+# 70-460 / 65-287 us for the power iteration on six connected G(n, p) each (2-core x86-64);
+# it wins past 24 too, but kept here while the benchmark's peak memory grows with throughput
 
 
 class RootIsolationError(ValueError):
@@ -45,16 +46,14 @@ class RootIsolationError(ValueError):
 
 @dataclass
 class SpectralResult:
-    """Spectral radius with convergence diagnostics.
-
-    ``perron`` is the positive unit eigenvector and is present only when the
-    graph is connected (it is not well-defined otherwise).
-    """
+    """Spectral radius; ``iterations`` sums the power iteration's steps, with
+    ``MAX_ITERATIONS`` for a component that ran out, and ``residual`` is the
+    largest max |A x - radius x| over the components it settled, 0.0 where
+    ``eigvalsh`` answered.  No eigenvector is kept: see ``perron_vector``."""
 
     radius: float
     iterations: int
     residual: float
-    perron: np.ndarray | None
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -74,20 +73,18 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a[:, : g.n]
 
 
-def _dense(a: np.ndarray, iterations: int = 0):
-    """``_power_iteration``'s (radius, |top eigenvector|, iterations,
-    max |a x - radius x|) for the symmetric ``a``, by ``np.linalg.eigh``."""
-    w, v = np.linalg.eigh(a)
-    lam, x = float(w[-1]), np.abs(v[:, -1])
-    return lam, x, iterations, float(np.abs(a @ x - lam * x).max())
+def _dense(a: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric ``a``, by ``np.linalg.eigvalsh``."""
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def _power_iteration(a: np.ndarray):
-    """Largest eigenvalue of the symmetric 0/1 matrix ``a``.
+    """(radius, unit vector, steps, max |a x - radius x|) for the symmetric 0/1 ``a``.
 
     Iterates on a + I from the all-ones vector: the shift breaks the +/-lambda
     oscillation on bipartite graphs and makes a connected graph's top eigenvalue
-    strictly dominant.  Past ``MAX_ITERATIONS`` steps the dense solver answers.
+    strictly dominant.  Past ``MAX_ITERATIONS`` steps ``_dense`` gives the
+    radius, with residual 0.0 beside the last iterate.
     Each step writes into three vectors allocated once per call; the norm is
     sqrt(y . y), which is what ``np.linalg.norm`` computes for a float vector.
     """
@@ -106,21 +103,16 @@ def _power_iteration(a: np.ndarray):
         np.add(z, x, out=y)
         np.divide(y, math.sqrt(np.dot(y, y)), out=x)
         np.matmul(a, x, out=z)
-    return _dense(a, MAX_ITERATIONS)
-
-
-def _solve(a: np.ndarray):
-    return _dense(a) if a.shape[0] <= SMALL_ORDER else _power_iteration(a)
+    return _dense(a), x, MAX_ITERATIONS, 0.0
 
 
 def spectral_radius(g: Graph) -> SpectralResult:
-    """Spectral radius of the adjacency matrix.
+    """Spectral radius of the adjacency matrix: the maximum over components.
 
-    Components on at most ``SMALL_ORDER`` vertices go to the dense solver,
-    larger ones to the power iteration; ``iterations`` sums the latter's steps.
-    Disconnected input is allowed: the radius is the maximum over components
-    and no Perron vector is reported.  A component on more than ``DENSE_CAP``
-    vertices raises ValueError before any matrix is allocated.
+    Components on at most ``SMALL_ORDER`` vertices go to ``eigvalsh``, larger
+    ones to the power iteration.  A connected graph is solved on its own
+    matrix.  A component on more than ``DENSE_CAP`` vertices raises ValueError
+    before any matrix is allocated.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
@@ -130,18 +122,24 @@ def spectral_radius(g: Graph) -> SpectralResult:
         raise ValueError(
             f"spectral radius capped at components of <= {DENSE_CAP} vertices, got {largest}"
         )
-    if len(comps) == 1:
-        lam, x, it, res = _solve(adjacency_matrix(g))
-        return SpectralResult(lam, it, res, x)
     best, iters, worst = 0.0, 0, 0.0
     for comp in comps:
         if comp.bit_count() == 1:
             continue
-        lam, _, it, res = _solve(adjacency_matrix(g.induced(_members(comp))))
-        best = max(best, lam)
-        iters += it
-        worst = max(worst, res)
-    return SpectralResult(best, iters, worst, None)
+        a = adjacency_matrix(g if len(comps) == 1 else g.induced(_members(comp)))
+        lam, _, it, res = _power_iteration(a) if len(a) > SMALL_ORDER else (_dense(a), None, 0, 0.0)
+        best, iters, worst = max(best, lam), iters + it, max(worst, res)
+    return SpectralResult(best, iters, worst)
+
+
+def perron_vector(g: Graph) -> np.ndarray:
+    """Positive unit eigenvector of a connected graph's spectral radius, by
+    ``np.linalg.eigh`` at any order up to ``DENSE_CAP``; ValueError otherwise."""
+    if not g.is_connected():
+        raise ValueError("Perron vector needs a connected graph")
+    if g.n > DENSE_CAP:
+        raise ValueError(f"Perron vector capped at n <= {DENSE_CAP}, got n={g.n}")
+    return np.abs(np.linalg.eigh(adjacency_matrix(g))[1][:, -1])
 
 
 def full_spectrum(g: Graph) -> list[float]:

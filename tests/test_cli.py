@@ -329,6 +329,18 @@ class TestRotate:
             "sum_s1=0.601500955 sum_s2=0.601500955\n"
         )
 
+    @pytest.mark.parametrize("s1,s2,t", [("2,3", "1", "0"), ("56,57", "58", "59"), ("2", "1", "0")])
+    def test_long_path_sums_are_the_closed_form(self, capsys, graph_file, s1, s2, t):
+        """The Perron vector of path(60) is sqrt(2/61) sin(k pi / 61), k = 1..60."""
+        x = [math.sqrt(2 / 61) * math.sin(k * math.pi / 61) for k in range(1, 61)]
+        sums = [sum(x[int(v)] for v in block.split(",")) for block in (s1, s2)]
+        code = run(["rotate", "--in", graph_file(path(60)), "--s1", s1, "--s2", s2, "--t", t])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f" sum_s1={sums[0]:.9f} sum_s2={sums[1]:.9f}\n"), out
+        if (s1, s2) == ("2,3", "1"):
+            assert "sum_s1=0.064903744 sum_s2=0.018617951" in out
+
     def test_json_fields(self, capsys, graph_file):
         code = run(["rotate", "--in", graph_file(path(4)),
                     "--s1", "2", "--s2", "1", "--t", "0", "--json"])

@@ -31,6 +31,7 @@ from toughspec.spectra import (
     char_poly,
     full_spectrum,
     largest_real_root,
+    perron_vector,
     quotient_matrix,
     second_largest_absolute_eigenvalue,
     spectral_radius,
@@ -55,9 +56,8 @@ class TestSpectralRadius:
         res = spectral_radius(complete(5))
         assert res.radius == pytest.approx(4.0, abs=1e-9)
         assert res.residual <= 1e-10
-        assert res.perron is not None
         # Perron vector of K_n is uniform
-        assert np.allclose(res.perron, 1 / math.sqrt(5), atol=1e-6)
+        assert np.allclose(perron_vector(complete(5)), 1 / math.sqrt(5), atol=1e-6)
 
     def test_complete_bipartite(self):
         res = spectral_radius(complete_bipartite(2, 3).graph)
@@ -77,13 +77,14 @@ class TestSpectralRadius:
     def test_single_vertex(self):
         res = spectral_radius(complete(1))
         assert res.radius == 0.0
-        assert res.perron is not None
+        assert perron_vector(complete(1)).tolist() == [1.0]
 
     def test_disconnected_takes_max_and_drops_perron(self):
         g = disjoint_union([complete(3), complete(2)])
         res = spectral_radius(g)
         assert res.radius == pytest.approx(2.0, abs=1e-9)
-        assert res.perron is None
+        with pytest.raises(ValueError, match="connected graph"):
+            perron_vector(g)
 
     def test_edgeless(self):
         assert spectral_radius(empty(4)).radius == 0.0
@@ -112,9 +113,10 @@ class TestSpectralRadius:
 
     def test_cap_applies_per_component(self):
         assert spectral_radius(empty(5000)).radius == 0.0
-        res = spectral_radius(disjoint_union([path(600), path(600)]))
-        assert res.radius == pytest.approx(2 * math.cos(math.pi / 601), abs=1e-9)
-        assert res.perron is None
+        g = disjoint_union([path(600), path(600)])
+        assert spectral_radius(g).radius == pytest.approx(2 * math.cos(math.pi / 601), abs=1e-9)
+        with pytest.raises(ValueError, match="connected graph"):
+            perron_vector(g)
 
 
 def _bit_identity_graphs():
@@ -149,7 +151,7 @@ def test_power_iteration_matches_the_allocating_loop_bit_for_bit():
 
 
 def test_small_components_take_the_dense_solver():
-    """Up to SMALL_ORDER vertices the radius comes from eigh, with no power
+    """Up to SMALL_ORDER vertices the radius comes from eigvalsh, with no power
     iteration, and agrees with both the power iteration and the spectrum."""
     for g in _bit_identity_graphs():
         for comp in g.components():
@@ -161,7 +163,25 @@ def test_small_components_take_the_dense_solver():
             scale = 1e-12 * max(1.0, res.radius)
             assert abs(res.radius - _power_iteration(adjacency_matrix(h))[0]) <= scale
             assert abs(res.radius - max(full_spectrum(h))) <= scale
-            assert abs(np.linalg.norm(res.perron) - 1.0) <= 1e-12 and (res.perron > 0).all()
+            x = perron_vector(h)
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12 and (x > 0).all()
+
+
+def test_small_components_take_the_eigenvalue_alone():
+    """On components of at most SMALL_ORDER vertices the radius is eigvalsh's top
+    eigenvalue: no power-iteration step, residual 0.0, and within
+    1e-12 max(1, radius) of eigh's top eigenvalue and of the full spectrum's
+    maximum, with the same 9-decimal text."""
+    graphs = [g.induced(comp) for g in _bit_identity_graphs()
+              for comp in g.components() if len(comp) <= SMALL_ORDER]
+    graphs += [connected_gnp(3 + seed % 22, 0.3 + seed % 7 / 10, seed) for seed in range(1100)]
+    for h in graphs:
+        res = spectral_radius(h)
+        assert res.iterations == 0 and res.residual == 0.0, h
+        top = float(np.linalg.eigh(adjacency_matrix(h))[0][-1])
+        for want in (top, max(full_spectrum(h))):
+            assert abs(res.radius - want) <= 1e-12 * max(1.0, res.radius), h
+            assert f"{res.radius:.9f}" == f"{want:.9f}", h
 
 
 def test_unconverged_power_iteration_falls_back_to_the_dense_solver():
@@ -169,7 +189,18 @@ def test_unconverged_power_iteration_falls_back_to_the_dense_solver():
     assert res.iterations == MAX_ITERATIONS
     assert res.residual <= RADIUS_TOL
     assert abs(res.radius - 2 * math.cos(math.pi / 301)) <= 1e-12
-    assert res.perron is not None and (res.perron > 0).all()
+    assert (perron_vector(path(300)) > 0).all()
+
+
+def test_perron_vector_of_a_path_is_the_closed_form():
+    k = np.arange(1, 61)
+    want = math.sqrt(2 / 61) * np.sin(k * math.pi / 61)
+    assert np.abs(perron_vector(path(60)) - want).max() <= 1e-12
+
+
+def test_perron_vector_is_refused_over_the_cap():
+    with pytest.raises(ValueError, match=f"n <= {DENSE_CAP}"):
+        perron_vector(path(DENSE_CAP + 1))
 
 
 class TestFullSpectrum:
