@@ -1,12 +1,21 @@
 """Graph toughness and spectral-radius toolkit.
 
-Exact toughness by cut enumeration, spectral radii by power iteration with a
-dense cross-check, rational quotient-matrix characteristic polynomials, the
-extremal families attaining the spectral toughness thresholds, classical
-upper bounds, and randomized theorem verification.
+Exact toughness by cut enumeration, spectral radii by the dense symmetric
+eigensolver for components of at most 24 vertices (and for any component
+the power iteration does not settle) and by power iteration above,
+rational quotient-matrix characteristic polynomials, the extremal families
+attaining the spectral toughness thresholds, classical upper bounds, and
+randomized theorem verification.
 """
 
-from .bounds import Bound, BoundReport, BrouwerReport, brouwer_margin, check_bound
+from .bounds import (
+    Bound,
+    BoundReport,
+    BrouwerReport,
+    brouwer_margin,
+    check_all_bounds,
+    check_bound,
+)
 from .families import (
     Family,
     FamilySpec,
@@ -21,17 +30,14 @@ from .families import (
 )
 from .graphio import GraphFormat, GraphFormatError, parse_graph, serialize_graph
 from .graphs import (
-    Bipartite,
     Graph,
     SidePartition,
-    bipartite_join,
     bipartition_of,
     complete,
     complete_bipartite,
     cycle,
     disjoint_union,
     empty,
-    empty_bipartite,
     join,
     path,
     petersen,

@@ -62,27 +62,45 @@ def _nosal_equality(g: Graph, sides: SidePartition) -> bool:
     return g.m == x * y
 
 
+def _bound_value(g: Graph, bound: Bound) -> tuple[float, bool]:
+    """The bound's value on g and whether g has its equality structure;
+    ValueError when g fails the bound's hypotheses."""
+    if bound is Bound.HONG:
+        return _hong(g), _is_star(g) or g.is_complete()
+    if bound is Bound.DEGREE:
+        degs = set(g.degrees())
+        return _degree_refined(g), len(degs) == 1 or degs == {g.min_degree(), g.n - 1}
+    sides = bipartition_of(g)
+    if sides is None:
+        raise ValueError("bound applies to bipartite graphs only")
+    return math.sqrt(g.m), _nosal_equality(g, sides)
+
+
+def _report(bound: Bound, rhs: float, structural: bool, lhs: float) -> BoundReport:
+    slack = rhs - lhs
+    return BoundReport(bound, lhs, rhs, slack, slack <= EQUALITY_SLACK and structural)
+
+
 def check_bound(g: Graph, bound: Bound | str) -> BoundReport:
     """Evaluate one spectral upper bound on g and report slack and equality."""
     bound = Bound(bound)
-    if g.n < 1:
-        raise ValueError("bound check needs at least one vertex")
-    if bound is Bound.HONG:
-        rhs = _hong(g)
-        structural = _is_star(g) or g.is_complete()
-    elif bound is Bound.DEGREE:
-        rhs = _degree_refined(g)
-        degs = set(g.degrees())
-        structural = len(degs) == 1 or degs == {g.min_degree(), g.n - 1}
-    else:
-        sides = bipartition_of(g)
-        if sides is None:
-            raise ValueError("bound applies to bipartite graphs only")
-        rhs = math.sqrt(g.m)
-        structural = _nosal_equality(g, sides)
+    rhs, structural = _bound_value(g, bound)
+    return _report(bound, rhs, structural, spectral_radius(g).radius)
+
+
+def check_all_bounds(g: Graph) -> list[BoundReport]:
+    """Every bound whose hypotheses hold on g, in ``Bound`` order, from one
+    radius solve; ValueError with each bound's reason when none applies."""
+    values, reasons = {}, []
+    for bound in Bound:
+        try:
+            values[bound] = _bound_value(g, bound)
+        except ValueError as exc:
+            reasons.append(f"{bound.value}: {exc}")
+    if not values:
+        raise ValueError("no bound applies (" + "; ".join(reasons) + ")")
     lhs = spectral_radius(g).radius
-    slack = rhs - lhs
-    return BoundReport(bound, lhs, rhs, slack, slack <= EQUALITY_SLACK and structural)
+    return [_report(bound, rhs, structural, lhs) for bound, (rhs, structural) in values.items()]
 
 
 @dataclass

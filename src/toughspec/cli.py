@@ -18,7 +18,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .bounds import Bound, brouwer_margin, check_bound
+from .bounds import Bound, brouwer_margin, check_all_bounds, check_bound
 from .families import Family, FamilySpec, family_graph
 from .graphio import GraphFormat, parse_graph, serialize_graph
 from .graphs import Graph, bipartition_of
@@ -173,8 +173,7 @@ def cmd_construct(ns):
 
 def cmd_bounds(ns):
     g = _graph(ns)
-    names = [Bound(ns.bound)] if ns.bound != "all" else list(Bound)
-    reports = [check_bound(g, bound) for bound in names]
+    reports = check_all_bounds(g) if ns.bound == "all" else [check_bound(g, ns.bound)]
     payload = [
         {
             "bound": rep.bound.value,

@@ -2,10 +2,12 @@
 
 Two shapes occur.  The non-bipartite families are a clique joined to the
 disjoint union of a smaller clique and a few isolated vertices; the bipartite
-families are a complete bipartite graph bipartitely joined to an edgeless
-bipartite graph, which keeps the result balanced bipartite.  Each family has
-an equitable vertex partition (by construction block) whose quotient matrix
-carries the spectral radius; ``quotient_partition`` exposes it.
+families are a complete bipartite graph K_{p,q} bipartitely joined to an
+edgeless graph O_{a,b} whose vertices are split between the two sides, which
+keeps the result balanced bipartite.  Every builder returns a plain graph;
+``graphs.bipartition_of`` recovers the sides of a bipartite one.  Each family
+has an equitable vertex partition (by construction block) whose quotient
+matrix carries the spectral radius; ``quotient_partition`` exposes it.
 """
 
 from __future__ import annotations
@@ -13,18 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import (
-    Bipartite,
-    Graph,
-    bipartite_join,
-    bipartition_of,
-    complete,
-    complete_bipartite,
-    disjoint_union,
-    empty,
-    empty_bipartite,
-    join,
-)
+from .graphs import Graph, bipartition_of, complete, disjoint_union, empty, join
 
 
 class Family(str, Enum):
@@ -178,9 +169,15 @@ def bip_block_sizes(spec: FamilySpec) -> tuple[int, int, int, int]:
     raise ValueError(f"{spec.family.value} is not a bipartite family")
 
 
-def split_join(p: int, q: int, a: int, b: int) -> Bipartite:
-    """K_{p,q} bipartitely joined to O_{a,b}; blocks X1, Y1, X2, Y2 in order."""
-    return bipartite_join(complete_bipartite(p, q), empty_bipartite(a, b))
+def split_join(p: int, q: int, a: int, b: int) -> Graph:
+    """K_{p,q} bipartitely joined to O_{a,b}; blocks X1, Y1, X2, Y2 in order,
+    with sides X1 u X2 and Y1 u Y2."""
+    if p < 1 or q < 1 or a < 0 or b < 0 or a + b < 1:
+        raise ValueError("split join needs p, q >= 1 and a, b >= 0 with a + b >= 1")
+    x1, y1 = (1 << p) - 1, ((1 << q) - 1) << p
+    x2, y2 = ((1 << a) - 1) << p + q, ((1 << b) - 1) << p + q + a
+    masks = [y1 | y2] * p + [x1 | x2] * q + [y1] * a + [x1] * b
+    return Graph._from_masks(p + q + a + b, masks)
 
 
 def clique_with_satellites(s: int, c: int, t: int) -> Graph:
@@ -194,8 +191,8 @@ def clique_with_satellites(s: int, c: int, t: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def build_family(spec: FamilySpec) -> Graph | Bipartite:
-    """Construct the family graph; bipartite variants come with their sides."""
+def build_family(spec: FamilySpec) -> Graph:
+    """Construct the family graph."""
     spec.validate()
     if spec.family in (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA):
         s, c, t = tough_block_sizes(spec)
@@ -203,10 +200,7 @@ def build_family(spec: FamilySpec) -> Graph | Bipartite:
     return split_join(*bip_block_sizes(spec))
 
 
-def family_graph(spec: FamilySpec) -> Graph:
-    """The bare graph of ``build_family``, independent of variant."""
-    built = build_family(spec)
-    return built.graph if isinstance(built, Bipartite) else built
+family_graph = build_family  # one call under both public names
 
 
 def quotient_partition(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
@@ -241,17 +235,16 @@ def matches_family(g: Graph, spec: FamilySpec) -> bool:
     The family graph is connected, so the bipartition is unique up to the
     order of the sides.
     """
-    built = build_family(spec)
-    target = built.graph if isinstance(built, Bipartite) else built
+    target = build_family(spec)
     if g.n != target.n or sorted(g.degrees()) != sorted(target.degrees()):
         return False
-    if not isinstance(built, Bipartite):
+    if spec.family in (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA):
         return True
     sides = bipartition_of(g)
     if sides is None:
         return False
     have, want = (
         sorted(sorted(h.degree(v) for v in side) for side in (split.x, split.y))
-        for h, split in ((g, sides), built)
+        for h, split in ((g, sides), (target, bipartition_of(target)))
     )
     return have == want

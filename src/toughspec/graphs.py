@@ -1,5 +1,5 @@
-"""Simple-graph core: immutable graphs, side partitions, and the join operations
-used to assemble the extremal families (disjoint union, join, bipartite join).
+"""Simple-graph core: immutable graphs, side partitions, the named graphs, and
+the disjoint union and join used to assemble the extremal families.
 
 Vertices are always 0..n-1.  Binary operations relabel deterministically: the
 first operand keeps its indices, the second is shifted by the first's order.
@@ -8,7 +8,7 @@ first operand keeps its indices, the second is shifted by the first's order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -199,13 +199,6 @@ class SidePartition:
         return len(self.x) == len(self.y)
 
 
-class Bipartite(NamedTuple):
-    """A graph together with a side partition witnessing bipartiteness."""
-
-    graph: Graph
-    sides: SidePartition
-
-
 # ---------------------------------------------------------------------------
 # named constructions
 # ---------------------------------------------------------------------------
@@ -226,21 +219,12 @@ def empty(n: int) -> Graph:
     return Graph._from_masks(n, [0] * n)
 
 
-def complete_bipartite(p: int, q: int) -> Bipartite:
-    """K_{p,q} with side X = 0..p-1 and side Y = p..p+q-1."""
+def complete_bipartite(p: int, q: int) -> Graph:
+    """K_{p,q}: vertices 0..p-1 form one side and p..p+q-1 the other."""
     if p < 1 or q < 1:
         raise ValueError("complete bipartite graph needs p, q >= 1")
     x, y = (1 << p) - 1, ((1 << q) - 1) << p
-    g = Graph._from_masks(p + q, [y] * p + [x] * q)
-    return Bipartite(g, SidePartition(frozenset(range(p)), frozenset(range(p, p + q))))
-
-
-def empty_bipartite(a: int, b: int) -> Bipartite:
-    """Edgeless graph on a + b >= 1 vertices with declared sides (a may be 0)."""
-    if a < 0 or b < 0 or a + b < 1:
-        raise ValueError("empty bipartite graph needs a, b >= 0 with a + b >= 1")
-    g = Graph._from_masks(a + b, [0] * (a + b))
-    return Bipartite(g, SidePartition(frozenset(range(a)), frozenset(range(a, a + b))))
+    return Graph._from_masks(p + q, [y] * p + [x] * q)
 
 
 def disjoint_union(parts: Iterable[Graph]) -> Graph:
@@ -262,31 +246,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     masks = [mask | second for mask in g1.masks]
     masks.extend(mask << off | first for mask in g2.masks)
     return Graph._from_masks(off + g2.n, masks)
-
-
-def bipartite_join(b1: Bipartite, b2: Bipartite) -> Bipartite:
-    """Bipartite join: adds all X1-Y2 and X2-Y1 edges, keeping sides bipartite.
-
-    Unlike the plain join this never creates an edge inside a side, so the
-    result is again bipartite with X = X1 u X2 and Y = Y1 u Y2.
-    """
-    g1, s1 = b1
-    g2, s2 = b2
-    s1.validate_for(g1)
-    s2.validate_for(g2)
-    off = g1.n
-    x1, y1 = vertex_mask(s1.x), vertex_mask(s1.y)
-    x2, y2 = vertex_mask(s2.x) << off, vertex_mask(s2.y) << off
-    masks = [mask | (y2 if x1 >> u & 1 else x2) for u, mask in enumerate(g1.masks)]
-    masks.extend(
-        mask << off | (y1 if x2 >> (v + off) & 1 else x1)
-        for v, mask in enumerate(g2.masks)
-    )
-    sides = SidePartition(
-        s1.x | frozenset(u + off for u in s2.x),
-        s1.y | frozenset(v + off for v in s2.y),
-    )
-    return Bipartite(Graph._from_masks(off + g2.n, masks), sides)
 
 
 def cycle(n: int) -> Graph:

@@ -73,8 +73,8 @@ def _bipartite_divisible(k: int, n: int) -> ComparisonReport:
     if n % (2 * k):
         raise ValueError("needs 2k | n")
     half, chunk = n // 2, n // (2 * k)
-    left = split_join(half - 1, half - chunk, 1, chunk).graph
-    right = split_join(k - 1, half - 1, half - k + 1, 1).graph
+    left = split_join(half - 1, half - chunk, 1, chunk)
+    right = split_join(k - 1, half - 1, half - k + 1, 1)
     rl = spectral_radius(left).radius
     rr = spectral_radius(right).radius
     return ComparisonReport(
@@ -90,8 +90,8 @@ def _bipartite_monotone(n: int, s: int) -> ComparisonReport:
         # the bipartition sides), so the strict comparison has no content there
         raise ValueError("needs 1 <= s and n >= 4s + 6")
     half = n // 2
-    left = split_join(s, half - s - 1, half - s, s + 1).graph
-    right = split_join(s + 1, half - s - 2, half - s - 1, s + 2).graph
+    left = split_join(s, half - s - 1, half - s, s + 1)
+    right = split_join(s + 1, half - s - 2, half - s - 1, s + 2)
     rl = spectral_radius(left).radius
     rr = spectral_radius(right).radius
     return ComparisonReport(

@@ -1,5 +1,5 @@
-"""Seeded random graph models: G(n, p), balanced bipartite G(n/2, n/2, p),
-and random regular graphs via the pairing model.
+"""Seeded random graph models: G(n, p), balanced bipartite G(n/2, n/2, p) with
+sides 0..n/2-1 and n/2..n-1, and random regular graphs via the pairing model.
 
 Every function accepts either an integer seed or an existing random.Random, so
 callers that need many dependent draws (rejection sampling, per-sample seed
@@ -13,7 +13,7 @@ import random
 from itertools import combinations, product
 from typing import Iterable
 
-from .graphs import Bipartite, Graph, SidePartition, vertex_mask
+from .graphs import Graph, vertex_mask
 
 _CONNECTED_TRIES = 10_000  # rejection draws before connected_gnp gives up
 _PAIRING_TRIES = 5_000  # pairing restarts before random_regular gives up
@@ -59,17 +59,16 @@ def connected_gnp(n: int, p: float, seed: int | random.Random) -> Graph:
     raise RuntimeError(f"no connected G({n}, {p}) sample within {_CONNECTED_TRIES} tries")
 
 
-def balanced_bipartite_gnp(n: int, p: float, seed: int | random.Random) -> Bipartite:
-    """Random balanced bipartite graph: each cross pair is an edge with prob p."""
+def balanced_bipartite_gnp(n: int, p: float, seed: int | random.Random) -> Graph:
+    """Random balanced bipartite graph: each pair between vertices 0..n/2-1 and
+    n/2..n-1 is an edge with prob p."""
     if n < 2 or n % 2:
         raise ValueError("balanced bipartite model needs even n >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("needs 0 <= p <= 1")
     half = n // 2
     pairs = product(range(half), range(half, n))
-    g = Graph._from_masks(n, _draw_masks(n, pairs, p, _rng(seed)))
-    sides = SidePartition(frozenset(range(half)), frozenset(range(half, n)))
-    return Bipartite(g, sides)
+    return Graph._from_masks(n, _draw_masks(n, pairs, p, _rng(seed)))
 
 
 def random_regular(n: int, d: int, seed: int | random.Random) -> Graph:

@@ -16,9 +16,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import FamilySpec, build_family, family_graph, matches_family
+from .families import FamilySpec, family_graph, matches_family
 from .graphio import serialize_graph
-from .graphs import Bipartite, Graph, _members, bipartition_of
+from .graphs import Graph, _members, bipartition_of
 from .randoms import gnp, balanced_bipartite_gnp, sample_seed
 from .spectra import spectral_radius
 from .toughness import (
@@ -122,10 +122,10 @@ def _threshold_detail(t: TheoremId) -> tuple[float, FamilySpec]:
     return best_rho, best_spec
 
 
-def threshold(t: TheoremId) -> tuple[float, Graph | Bipartite]:
+def threshold(t: TheoremId) -> tuple[float, Graph]:
     """Spectral threshold of a theorem and the extremal graph attaining it."""
     rho, spec = _threshold_detail(t)
-    return rho, build_family(spec)
+    return rho, family_graph(spec)
 
 
 def check_graph_against_theorem(g: Graph, t: TheoremId) -> Verdict:
@@ -271,7 +271,7 @@ def _sample_matching_graph(t: TheoremId, rng: random.Random) -> Graph:
     low, high = (0.3, 1.0) if delta is None else (0.35, 0.95)
     for _ in range(_SAMPLER_TRIES):
         p = rng.uniform(low, high)
-        g = balanced_bipartite_gnp(n, p, rng).graph if bipartite else gnp(n, p, rng)
+        g = (balanced_bipartite_gnp if bipartite else gnp)(n, p, rng)
         if not g.is_connected():
             continue
         if delta is None:

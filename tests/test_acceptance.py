@@ -18,14 +18,13 @@ import pytest
 from toughspec.bounds import Bound, brouwer_margin, check_bound
 from toughspec.families import (
     FamilySpec,
-    build_family,
     clique_with_satellites,
     family_graph,
     quotient_partition,
     split_join,
 )
 from toughspec.graphs import (
-    Bipartite,
+    bipartition_of,
     complete,
     complete_bipartite,
     cycle,
@@ -125,7 +124,7 @@ def test_criterion_2_char_poly_identities():
         for n in range(14, 41, 2):
             blocks = (k - 1, n // 2 - 1, n // 2 - k + 1, 1)
             got = char_poly(
-                quotient_matrix(split_join(*blocks).graph, split_cells(*blocks))
+                quotient_matrix(split_join(*blocks), split_cells(*blocks))
             )
             want = (
                 Fraction(1),
@@ -146,7 +145,7 @@ def test_criterion_2_char_poly_identities():
             chunk = n // (2 * k)
             blocks = (n // 2 - 1, n // 2 - chunk, 1, chunk)
             got = char_poly(
-                quotient_matrix(split_join(*blocks).graph, split_cells(*blocks))
+                quotient_matrix(split_join(*blocks), split_cells(*blocks))
             )
             want = (
                 Fraction(1),
@@ -164,7 +163,7 @@ def test_criterion_2_char_poly_identities():
         for n in range(14, 41, 2):
             blocks = (s, n // 2 - s - 1, n // 2 - s, s + 1)
             got = char_poly(
-                quotient_matrix(split_join(*blocks).graph, split_cells(*blocks))
+                quotient_matrix(split_join(*blocks), split_cells(*blocks))
             )
             want = (
                 Fraction(1),
@@ -241,13 +240,12 @@ def test_criterion_4_extremal_non_toughness():
     check_stage(value, witness, g, Fraction(2, 3), stage)
 
     stage = time.perf_counter()
-    built = build_family(FamilySpec.bip_frac(16, 2))  # blocks (1, 5, 7, 3)
-    value, witness = bipartite_toughness(
-        built.graph, built.sides, ToughnessKind.VARIATION
-    )
-    check_stage(value, witness, built.graph, Fraction(1, 3), stage)
+    g = family_graph(FamilySpec.bip_frac(16, 2))  # blocks (1, 5, 7, 3)
+    sides = bipartition_of(g)
+    value, witness = bipartite_toughness(g, sides, ToughnessKind.VARIATION)
+    check_stage(value, witness, g, Fraction(1, 3), stage)
     assert witness.side == "X"
-    assert witness.cut < built.sides.x
+    assert witness.cut < sides.x
 
     finish(4, "extremal graphs fail their toughness targets", started, 90.0)
 
@@ -289,14 +287,12 @@ def test_criterion_5_counterexample_search():
         (TheoremId(Theorem.BIP_FRAC, 20, r_inv=1), FamilySpec.bip_frac(20, 1)),
     ]
     for tid, spec in own_theorem_cases:
-        built = build_family(spec)
-        g = built.graph if isinstance(built, Bipartite) else built
-        verdict = check_graph_against_theorem(g, tid)
+        verdict = check_graph_against_theorem(family_graph(spec), tid)
         assert verdict.status is VerdictStatus.EXTREMAL, (tid, verdict.status)
     for n, r in ((22, 2), (38, 3)):
         tid = TheoremId(Theorem.BIP_INT, n, r=r)
         _, extremal = threshold(tid)
-        verdict = check_graph_against_theorem(extremal.graph, tid)
+        verdict = check_graph_against_theorem(extremal, tid)
         assert verdict.status is VerdictStatus.EXTREMAL, (tid, verdict.status)
 
     finish(5, "seeded search finds no counterexamples", started, 600.0)
@@ -316,25 +312,25 @@ def test_criterion_6_bound_suite():
 
     for _ in range(1000):
         n = 2 * rng.randrange(3, 21)
-        g = balanced_bipartite_gnp(n, rng.uniform(0.1, 0.95), rng).graph
+        g = balanced_bipartite_gnp(n, rng.uniform(0.1, 0.95), rng)
         report = check_bound(g, Bound.NOSAL)
         assert report.slack >= -1e-8, (g.n, report.slack)
 
     hong_equality = [complete(n) for n in range(3, 9)]
-    hong_equality += [complete_bipartite(1, q).graph for q in range(2, 9)]
+    hong_equality += [complete_bipartite(1, q) for q in range(2, 9)]
     for g in hong_equality:
         assert check_bound(g, Bound.HONG).equality_case, g.degrees()
 
     degree_equality = [cycle(n) for n in range(4, 10)]
-    degree_equality += [petersen(), complete_bipartite(4, 4).graph, complete(4)]
+    degree_equality += [petersen(), complete_bipartite(4, 4), complete(4)]
     degree_equality += [random_regular(12, 3, seed=5)]
     degree_equality += [join(complete(s), empty(t)) for s, t in ((2, 3), (3, 5), (4, 2))]
     for g in degree_equality:
         assert check_bound(g, Bound.DEGREE).equality_case, g.degrees()
 
-    nosal_equality = [complete_bipartite(p, q).graph for p, q in ((2, 3), (4, 4), (1, 7))]
+    nosal_equality = [complete_bipartite(p, q) for p, q in ((2, 3), (4, 4), (1, 7))]
     nosal_equality += [
-        disjoint_union([complete_bipartite(3, 2).graph, empty(3)]),
+        disjoint_union([complete_bipartite(3, 2), empty(3)]),
     ]
     for g in nosal_equality:
         assert check_bound(g, Bound.NOSAL).equality_case, g.degrees()

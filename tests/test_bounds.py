@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toughspec import bounds
 from toughspec.bounds import (
     Bound,
     _nosal_equality,
     brouwer_margin,
+    check_all_bounds,
     check_bound,
 )
 from toughspec.graphs import (
@@ -101,13 +103,13 @@ class TestMinDegreeBound:
 
 class TestBipartiteEdgeBound:
     def test_equality_on_complete_bipartite(self):
-        rep = check_bound(complete_bipartite(2, 3).graph, Bound.NOSAL)
+        rep = check_bound(complete_bipartite(2, 3), Bound.NOSAL)
         assert rep.rhs == pytest.approx(math.sqrt(6))
         assert abs(rep.slack) < 1e-8
         assert rep.equality_case
 
     def test_equality_survives_isolated_vertices(self):
-        g = disjoint_union([complete_bipartite(2, 3).graph, empty(2)])
+        g = disjoint_union([complete_bipartite(2, 3), empty(2)])
         rep = check_bound(g, Bound.NOSAL)
         assert abs(rep.slack) < 1e-8
         assert rep.equality_case
@@ -118,8 +120,8 @@ class TestBipartiteEdgeBound:
         assert rep.equality_case
 
     def test_two_complete_bipartite_components_are_not_equality(self):
-        g = disjoint_union([complete_bipartite(2, 2).graph,
-                            complete_bipartite(3, 3).graph])
+        g = disjoint_union([complete_bipartite(2, 2),
+                            complete_bipartite(3, 3)])
         rep = check_bound(g, Bound.NOSAL)
         assert rep.slack == pytest.approx(math.sqrt(13) - 3, abs=1e-8)
         assert not rep.equality_case
@@ -138,12 +140,12 @@ class TestBipartiteEdgeBound:
         two_k2 = disjoint_union([path(2), path(2)])
         assert not _nosal_equality(two_k2, bipartition_of(two_k2))
         assert not naive_nosal_equality(two_k2.n, two_k2.edges())
-        graphs = [two_k2, empty(1), complete_bipartite(1, 1).graph]
+        graphs = [two_k2, empty(1), complete_bipartite(1, 1)]
         for seed in range(120):
             # sparse draws leave isolated vertices and several components
             p = (0.1, 0.25, 0.5, 1.0)[seed % 4]
-            parts = [balanced_bipartite_gnp(2 * (1 + seed % 4), p, seed).graph,
-                     complete_bipartite(1 + seed % 3, 2).graph, empty(1 + seed % 2)]
+            parts = [balanced_bipartite_gnp(2 * (1 + seed % 4), p, seed),
+                     complete_bipartite(1 + seed % 3, 2), empty(1 + seed % 2)]
             graphs += [parts[0], disjoint_union(parts[: 1 + seed % 3])]
         verdicts = set()
         for g in graphs:
@@ -165,13 +167,37 @@ class TestBoundsNeverViolated:
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10**6), half=st.integers(2, 8))
     def test_on_bipartite_samples(self, seed, half):
-        g = balanced_bipartite_gnp(2 * half, 0.5, seed).graph
+        g = balanced_bipartite_gnp(2 * half, 0.5, seed)
         assert check_bound(g, Bound.NOSAL).slack >= -1e-8
 
     def test_bound_accepts_string_names(self):
         assert check_bound(complete(4), "hong").bound is Bound.HONG
         with pytest.raises(ValueError):
             check_bound(complete(4), "unknown")
+
+
+class TestAllBounds:
+    @pytest.mark.parametrize("g, applicable", [
+        (path(4), [Bound.HONG, Bound.DEGREE, Bound.NOSAL]),
+        (petersen(), [Bound.HONG, Bound.DEGREE]),
+        (disjoint_union([complete_bipartite(2, 3), empty(1)]), [Bound.NOSAL]),
+    ], ids=["path4", "petersen", "k23-plus-isolated"])
+    def test_reports_every_applicable_bound_from_one_radius(self, g, applicable, monkeypatch):
+        solve = bounds.spectral_radius
+        calls = []
+        monkeypatch.setattr(bounds, "spectral_radius", lambda h: calls.append(h) or solve(h))
+        reports = check_all_bounds(g)
+        assert calls == [g]
+        assert [rep.bound for rep in reports] == applicable
+        monkeypatch.undo()
+        assert reports == [check_bound(g, bound) for bound in applicable]
+
+    def test_no_applicable_bound_names_every_reason(self):
+        with pytest.raises(ValueError) as info:
+            check_all_bounds(disjoint_union([complete(3), empty(1)]))
+        message = str(info.value)
+        assert message.startswith("no bound applies")
+        assert all(f"{bound.value}: " in message for bound in Bound)
 
 
 class TestRegularToughnessMargin:
@@ -188,7 +214,7 @@ class TestRegularToughnessMargin:
         assert rep.margin == pytest.approx(1.0, abs=1e-9)
 
     def test_complete_bipartite(self):
-        rep = brouwer_margin(complete_bipartite(3, 3).graph)
+        rep = brouwer_margin(complete_bipartite(3, 3))
         assert rep.t == Fraction(1)
         assert rep.lam == pytest.approx(3.0, abs=1e-9)
         assert rep.margin == pytest.approx(1.0, abs=1e-9)

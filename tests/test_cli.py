@@ -22,7 +22,9 @@ from toughspec.bounds import BrouwerReport
 from toughspec.cli import COMMANDS, _num, build_parser, run
 from toughspec.families import FamilySpec, build_family, family_graph, matches_family
 from toughspec.graphio import GraphFormat, parse_graph, serialize_graph
-from toughspec.graphs import complete, complete_bipartite, cycle, empty, join, path, petersen
+from toughspec.graphs import (
+    complete, complete_bipartite, cycle, disjoint_union, empty, join, path, petersen,
+)
 from toughspec.lemmas import ComparisonReport, Lemma, RotationReport
 from toughspec.spectra import DENSE_CAP
 from toughspec.toughness import CutWitness
@@ -106,7 +108,7 @@ class TestSpectrum:
         assert [float(line) for line in lines] == pytest.approx([1.0, -1.0], abs=1e-9)
 
     def test_zero_eigenvalues_print_without_sign(self, capsys, graph_file):
-        assert run(["spectrum", "--in", graph_file(complete_bipartite(3, 3).graph)]) == 0
+        assert run(["spectrum", "--in", graph_file(complete_bipartite(3, 3))]) == 0
         assert capsys.readouterr().out.splitlines() == (
             ["3.000000000"] + ["0.000000000"] * 4 + ["-3.000000000"]
         )
@@ -123,13 +125,13 @@ class TestSpectrum:
 
 class TestTough:
     def test_default_kind_is_variation(self, capsys, graph_file):
-        target = graph_file(complete_bipartite(1, 3).graph)
+        target = graph_file(complete_bipartite(1, 3))
         assert run(["tough", "--in", target]) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == ["variation = 1/2", "cut: 0", "components: 3"]
 
     def test_plain_toughness(self, capsys, graph_file):
-        target = graph_file(complete_bipartite(1, 3).graph)
+        target = graph_file(complete_bipartite(1, 3))
         assert run(["tough", "--in", target, "--kind", "toughness"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == ["toughness = 1/3", "cut: 0", "components: 3"]
@@ -253,6 +255,21 @@ class TestBounds:
         code = run(["bounds", "--in", graph_file(cycle(5)), "--bound", "nosal"])
         assert code == 1
         assert "bipartite" in capsys.readouterr().err
+
+    def test_all_skips_bounds_whose_hypotheses_fail(self, capsys, graph_file):
+        # Petersen is not bipartite, so nosal is left out rather than fatal
+        assert run(["bounds", "--in", graph_file(petersen())]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "hong: rho=3.000000000 bound=4.582575695 slack=1.583e+00 equality=false",
+            "degree: rho=3.000000000 bound=3.000000000 slack=0.000e+00 equality=true",
+        ]
+
+    def test_all_exits_one_when_no_bound_applies(self, capsys, graph_file):
+        g = disjoint_union([complete(3), empty(1)])  # an isolated vertex and a triangle
+        assert run(["bounds", "--in", graph_file(g)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no bound applies (hong: ")
 
 
 class TestLemma:
@@ -526,7 +543,7 @@ class TestNumberFormat:
         if command == "rho":
             return ["rho", "--family", "bip-frac", "--n", "16", "--r-inv", "2"]
         if command == "spectrum":
-            return ["spectrum", "--in", graph_file(complete_bipartite(3, 3).graph)]
+            return ["spectrum", "--in", graph_file(complete_bipartite(3, 3))]
         if command == "bounds":
             return ["bounds", "--in", graph_file(cycle(6))]
         if command == "brouwer":

@@ -16,7 +16,7 @@ from toughspec.families import (
     split_join,
     tough_block_sizes,
 )
-from toughspec.graphs import Bipartite, Graph, complete
+from toughspec.graphs import Graph, bipartition_of, complete
 
 from helpers_naive import naive_matches_family, relabeled
 
@@ -105,17 +105,17 @@ class TestValidation:
 
 class TestConstruction:
     def test_bipartite_families_carry_sides(self):
-        built = build_family(FamilySpec.bip_frac(16, 2))
-        assert isinstance(built, Bipartite)
-        built.sides.validate_for(built.graph)
-        assert built.sides.is_balanced()
+        g = build_family(FamilySpec.bip_frac(16, 2))
+        sides = bipartition_of(g)
+        sides.validate_for(g)
+        assert sides.is_balanced()
 
     def test_clique_families_are_plain_graphs(self):
         built = build_family(FamilySpec.tough_int(14, 2))
         assert isinstance(built, Graph)
 
     def test_split_join_blocks_in_order(self):
-        g = split_join(1, 5, 7, 3).graph
+        g = split_join(1, 5, 7, 3)
         # X1 = {0} sees all of Y; X2 sees only Y1; Y2 sees only X1
         assert g.adj[0] == tuple(range(1, 6)) + tuple(range(13, 16))
         assert g.degree(13) == 1
@@ -220,7 +220,10 @@ REFERENCE_SPECS = [
     FamilySpec.bip_int_nondiv_b(38, 3),
     FamilySpec.bip_frac(16, 2),
     FamilySpec.bip_frac(20, 1),
+    FamilySpec.bip_frac(20, 1),
 ]
+BIPARTITE_SPECS = [s for s in REFERENCE_SPECS
+                   if s.family not in (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA)]
 
 
 def _two_switches(g, rng, count):
@@ -271,13 +274,21 @@ class TestMatchingAgainstReference:
         assert {family for family, _ in counts} == set(Family)
         assert all(counts.get((family, True), 0) >= 20 for family in Family)
 
-    @pytest.mark.parametrize("spec", [s for s in REFERENCE_SPECS if s.family not in
-                                      (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA)])
+    @pytest.mark.parametrize("spec", BIPARTITE_SPECS)
+    def test_bipartition_is_the_construction_sides(self, spec):
+        # the family graph is connected, so bipartition_of puts vertex 0,
+        # in X1, on side X, and X is X1 u X2 in construction order
+        x1, y1, x2, y2 = quotient_partition(spec)
+        sides = bipartition_of(family_graph(spec))
+        assert sides.x == frozenset(x1 + x2)
+        assert sides.y == frozenset(y1 + y2)
+
+    @pytest.mark.parametrize("spec", BIPARTITE_SPECS)
     def test_switch_into_odd_cycle_keeps_degrees_but_not_the_family(self, spec):
         # a 2-switch that joins two vertices of one side keeps every degree
         # and the side degree lists, so only the bipartiteness test rejects it
         g = family_graph(spec)
-        x = build_family(spec).sides.x
+        x = bipartition_of(g).x
         switches = [h for h in _two_switches(g, random.Random(3), 40)
                     if any(h.has_edge(u, v) for u in x for v in x if u < v)]
         assert switches

@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toughspec.graphs import (
-    Bipartite,
     Graph,
     SidePartition,
-    bipartite_join,
     bipartition_of,
     complete,
     complete_bipartite,
     cycle,
     disjoint_union,
     empty,
-    empty_bipartite,
     join,
     path,
     petersen,
@@ -125,11 +122,10 @@ class TestConstructors:
         assert complete(1).m == 0
 
     def test_complete_bipartite_layout(self):
-        b = complete_bipartite(2, 3)
-        g = b.graph
+        g = complete_bipartite(2, 3)
         assert g.n == 5 and g.m == 6
         # side X is 0..p-1, side Y is p..p+q-1
-        assert b.sides.x == frozenset({0, 1})
+        assert bipartition_of(g).x == frozenset({0, 1})
         assert g.adj[0] == (2, 3, 4)
         assert g.adj[4] == (0, 1)
 
@@ -176,35 +172,22 @@ class TestConstructors:
 
 
 class TestBipartite:
-    def test_empty_bipartite(self):
-        b = empty_bipartite(2, 3)
-        assert b.graph.m == 0
-        assert b.sides.x == frozenset({0, 1})
-        assert b.sides.y == frozenset({2, 3, 4})
-
-    def test_empty_bipartite_allows_one_empty_side(self):
-        b = empty_bipartite(0, 2)
-        assert b.sides.x == frozenset()
+    def test_split_join_allows_one_empty_side(self):
+        # O_{0,2}: both extra vertices land on side Y, next to X1
+        g = split_join(1, 1, 0, 2)
+        assert bipartition_of(g) == SidePartition(frozenset({0}), frozenset({1, 2, 3}))
         with pytest.raises(ValueError):
-            empty_bipartite(0, 0)
+            split_join(1, 1, 0, 0)
 
-    def test_bipartite_join_adds_cross_edges_only(self):
-        # joining two single edges K_{1,1} pairwise gives the 4-cycle
-        b = bipartite_join(complete_bipartite(1, 1), complete_bipartite(1, 1))
-        assert b.graph.n == 4
-        assert b.graph.degrees() == (2, 2, 2, 2)
-        assert b.sides.x == frozenset({0, 2})
-        assert bipartition_of(b.graph) is not None
-
-    def test_bipartite_join_of_edge_and_empty_pair(self):
+    def test_split_join_of_edge_and_empty_pair(self):
         # K_{1,1} joined with two isolated vertices (one per side) is a path
-        g = bipartite_join(complete_bipartite(1, 1), empty_bipartite(1, 1)).graph
+        g = split_join(1, 1, 1, 1)
         assert g.m == 3
         assert sorted(g.degrees()) == [1, 1, 2, 2]
         assert g.is_connected()
 
     def test_side_partition_validation(self):
-        g = complete_bipartite(2, 2).graph
+        g = complete_bipartite(2, 2)
         good = SidePartition(frozenset({0, 1}), frozenset({2, 3}))
         good.validate_for(g)
         with pytest.raises(ValueError):
@@ -236,7 +219,7 @@ class TestBipartite:
     def test_bipartition_of_matches_naive_two_colouring(self, seed):
         rng = random.Random(seed)
         parts = [empty(rng.randint(1, 3)),
-                 balanced_bipartite_gnp(2 * rng.randint(1, 6), rng.random(), seed).graph,
+                 balanced_bipartite_gnp(2 * rng.randint(1, 6), rng.random(), seed),
                  gnp(rng.randint(1, 10), rng.random() / 2, seed),
                  cycle(rng.randint(3, 8)), path(rng.randint(1, 5))]
         rng.shuffle(parts)
@@ -316,36 +299,18 @@ def test_mask_builders_match_validated_edge_lists(g1, g2, sizes):
         n1 + n2,
         e1 + shifted + cross_edges(range(n1), range(n1, n1 + n2)),
     )
-    kpq = complete_bipartite(p, q)
-    assert_built_as(kpq.graph, p + q, cross_edges(range(p), range(p, p + q)))
-    # a bipartite second operand whose sides interleave: X even, Y odd
-    ex = [(u, v) for u, v in e2 if (u - v) % 2]
-    sides = SidePartition(frozenset(range(0, n2, 2)), frozenset(range(1, n2, 2)))
-    joined = bipartite_join(kpq, Bipartite(Graph(n2, ex), sides))
-    off = p + q
-    x2 = [v + off for v in sides.x]
-    y2 = [v + off for v in sides.y]
-    assert_built_as(
-        joined.graph,
-        off + n2,
-        cross_edges(range(p), range(p, off))
-        + [(u + off, v + off) for u, v in ex]
-        + cross_edges(range(p), y2)
-        + cross_edges(x2, range(p, off)),
-    )
-    assert joined.sides == SidePartition(frozenset(range(p)) | frozenset(x2),
-                                         frozenset(range(p, off)) | frozenset(y2))
+    assert_built_as(complete_bipartite(p, q), p + q, cross_edges(range(p), range(p, p + q)))
     if a + b:
         x1, y1 = range(p), range(p, p + q)
         x2, y2 = range(p + q, p + q + a), range(p + q + a, p + q + a + b)
         split = split_join(p, q, a, b)
         assert_built_as(
-            split.graph,
+            split,
             p + q + a + b,
             cross_edges(x1, y1) + cross_edges(x1, y2) + cross_edges(x2, y1),
         )
-        assert split.sides == SidePartition(frozenset(x1) | frozenset(x2),
-                                            frozenset(y1) | frozenset(y2))
+        assert bipartition_of(split) == SidePartition(frozenset(x1) | frozenset(x2),
+                                                     frozenset(y1) | frozenset(y2))
     assert_built_as(
         clique_with_satellites(s, p, t),
         s + p + t,

@@ -107,8 +107,8 @@ class TestBipartiteMonotone:
         for s in (1, 2, 4):
             n = 4 * s + 4
             half = n // 2
-            left = split_join(s, half - s - 1, half - s, s + 1).graph
-            right = split_join(s + 1, half - s - 2, half - s - 1, s + 2).graph
+            left = split_join(s, half - s - 1, half - s, s + 1)
+            right = split_join(s + 1, half - s - 2, half - s - 1, s + 2)
             assert _split_quartic(s, half - s - 1, half - s, s + 1) \
                 == _split_quartic(s + 1, half - s - 2, half - s - 1, s + 2)
             rl = spectral_radius(left).radius

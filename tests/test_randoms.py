@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toughspec.graphs import Bipartite, Graph
+from toughspec.graphs import Graph, SidePartition, bipartition_of
 from toughspec.randoms import (
     balanced_bipartite_gnp,
     connected_gnp,
@@ -23,8 +23,8 @@ class TestDeterminism:
     def test_same_seed_same_graph(self, seed):
         assert gnp(12, 0.4, seed) == gnp(12, 0.4, seed)
         assert random_regular(10, 3, seed) == random_regular(10, 3, seed)
-        assert (balanced_bipartite_gnp(10, 0.5, seed).graph
-                == balanced_bipartite_gnp(10, 0.5, seed).graph)
+        assert (balanced_bipartite_gnp(10, 0.5, seed)
+                == balanced_bipartite_gnp(10, 0.5, seed))
 
     def test_different_seeds_usually_differ(self):
         distinct = {gnp(12, 0.5, s) for s in range(10)}
@@ -58,7 +58,7 @@ class TestEdgeListConstruction:
     def test_balanced_bipartite_gnp(self, p):
         for n in range(2, 25, 2):
             rng, ref = random.Random(n), random.Random(n)
-            g = balanced_bipartite_gnp(n, p, rng).graph
+            g = balanced_bipartite_gnp(n, p, rng)
             assert g == Graph(n, naive_balanced_bipartite_edges(n, p, ref))
             assert rng.random() == ref.random()
 
@@ -85,12 +85,12 @@ class TestGnp:
 
 class TestBalancedBipartite:
     def test_sides_are_the_halves(self):
-        b = balanced_bipartite_gnp(10, 0.6, 3)
-        assert isinstance(b, Bipartite)
-        assert b.sides.x == frozenset(range(5))
-        assert b.sides.y == frozenset(range(5, 10))
-        b.sides.validate_for(b.graph)
-        assert b.sides.is_balanced()
+        g = balanced_bipartite_gnp(10, 0.6, 3)
+        assert g.m and all(u < 5 <= v for u, v in g.edges())  # every edge crosses
+        halves = SidePartition(frozenset(range(5)), frozenset(range(5, 10)))
+        halves.validate_for(g)
+        assert halves.is_balanced()
+        assert g.is_connected() and bipartition_of(g) == halves
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):

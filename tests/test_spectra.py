@@ -60,7 +60,7 @@ class TestSpectralRadius:
         assert np.allclose(perron_vector(complete(5)), 1 / math.sqrt(5), atol=1e-6)
 
     def test_complete_bipartite(self):
-        res = spectral_radius(complete_bipartite(2, 3).graph)
+        res = spectral_radius(complete_bipartite(2, 3))
         assert res.radius == pytest.approx(math.sqrt(6), abs=1e-9)
 
     def test_path_p4_is_golden_ratio(self):
@@ -129,10 +129,10 @@ def _bit_identity_graphs():
         FamilySpec.bip_frac(16, 2),
     ))
     yield from (path(60), cycle(9), join(complete(1), empty(21)), petersen(),
-                complete_bipartite(13, 40).graph)
+                complete_bipartite(13, 40))
     for seed in range(50):
         yield gnp(4 + seed % 37, 0.1 + seed % 9 / 10, seed)
-        yield balanced_bipartite_gnp(4 + 2 * (seed % 19), 0.1 + seed % 9 / 10, seed).graph
+        yield balanced_bipartite_gnp(4 + 2 * (seed % 19), 0.1 + seed % 9 / 10, seed)
 
 
 def test_power_iteration_matches_the_allocating_loop_bit_for_bit():
@@ -233,7 +233,7 @@ class TestSecondLargestAbsolute:
     def test_values(self):
         assert second_largest_absolute_eigenvalue(cycle(6)) == pytest.approx(2.0, abs=1e-9)
         assert second_largest_absolute_eigenvalue(petersen()) == pytest.approx(2.0, abs=1e-9)
-        assert second_largest_absolute_eigenvalue(complete_bipartite(3, 3).graph) \
+        assert second_largest_absolute_eigenvalue(complete_bipartite(3, 3)) \
             == pytest.approx(3.0, abs=1e-9)
         assert second_largest_absolute_eigenvalue(complete(4)) == pytest.approx(1.0, abs=1e-9)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toughspec import graphs
-from toughspec.families import FamilySpec, build_family, family_graph
+from toughspec.families import FamilySpec, family_graph
 from toughspec.graphs import (
     Graph,
     SidePartition,
@@ -190,29 +190,30 @@ class TestBipartiteToughness:
         assert witness.side == "X"
 
     def test_complete_bipartite_is_one_sided_infinite(self):
-        b = complete_bipartite(3, 3)
-        value, witness = bipartite_toughness(b.graph, b.sides)
+        g = complete_bipartite(3, 3)
+        value, witness = bipartite_toughness(g, bipartition_of(g))
         assert value is INFINITE and witness is None
 
     def test_split_family_fails_its_target(self):
-        built = build_family(FamilySpec.bip_frac(16, 2))
-        value, witness = bipartite_toughness(built.graph, built.sides)
+        g = family_graph(FamilySpec.bip_frac(16, 2))
+        value, witness = bipartite_toughness(g, bipartition_of(g))
         assert value == Fraction(1, 3)
         assert witness == CutWitness(frozenset({0}), 4, Fraction(1, 3), side="X")
 
     def test_toughness_kind_on_same_family(self):
-        built = build_family(FamilySpec.bip_frac(16, 2))
+        g = family_graph(FamilySpec.bip_frac(16, 2))
         value, witness = bipartite_toughness(
-            built.graph, built.sides, kind=ToughnessKind.TOUGHNESS)
+            g, bipartition_of(g), kind=ToughnessKind.TOUGHNESS)
         assert value == Fraction(1, 4)
         assert witness.side == "X"
 
     def test_variation_requires_balanced_sides(self):
-        b = complete_bipartite(2, 3)
+        g = complete_bipartite(2, 3)
+        sides = bipartition_of(g)
         with pytest.raises(ValueError, match="balanced"):
-            bipartite_toughness(b.graph, b.sides, kind=ToughnessKind.VARIATION)
+            bipartite_toughness(g, sides, kind=ToughnessKind.VARIATION)
         # the plain kind accepts unbalanced sides
-        value, _ = bipartite_toughness(b.graph, b.sides, kind=ToughnessKind.TOUGHNESS)
+        value, _ = bipartite_toughness(g, sides, kind=ToughnessKind.TOUGHNESS)
         assert value is INFINITE
 
     def test_sides_must_describe_the_graph(self):
@@ -245,21 +246,23 @@ class TestAgainstNaiveEnumeration:
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10**6), half=st.integers(2, 5))
     def test_one_sided_variation(self, seed, half):
-        b = balanced_bipartite_gnp(2 * half, 0.6, seed)
-        if not b.graph.is_connected():
+        g = balanced_bipartite_gnp(2 * half, 0.6, seed)
+        if not g.is_connected():
             return
-        value, witness = bipartite_toughness(b.graph, b.sides)
+        sides = bipartition_of(g)
+        assert sides.x == frozenset(range(half))  # the model's halves
+        value, witness = bipartite_toughness(g, sides)
         naive_x, _ = naive_min_cut_ratio(
-            b.graph.n, b.graph.edges(), shift=1,
-            universe=sorted(b.sides.x), proper=True)
+            g.n, g.edges(), shift=1,
+            universe=sorted(sides.x), proper=True)
         naive_y, _ = naive_min_cut_ratio(
-            b.graph.n, b.graph.edges(), shift=1,
-            universe=sorted(b.sides.y), proper=True)
+            g.n, g.edges(), shift=1,
+            universe=sorted(sides.y), proper=True)
         assert value == min(naive_x, naive_y)
         if witness is not None:
-            side = b.sides.x if witness.side == "X" else b.sides.y
+            side = sides.x if witness.side == "X" else sides.y
             assert witness.cut < side  # proper subset of one side
-            assert components_after_deletion(b.graph, witness.cut) == witness.components
+            assert components_after_deletion(g, witness.cut) == witness.components
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10**6), n=st.integers(3, 10))
@@ -284,10 +287,10 @@ class TestAgainstNaiveEnumeration:
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10**6), half=st.integers(2, 5))
     def test_balanced_bipartite_toughness_at_most_one(self, seed, half):
-        b = balanced_bipartite_gnp(2 * half, 0.7, seed)
-        if not b.graph.is_connected() or b.graph.m == half * half:
+        g = balanced_bipartite_gnp(2 * half, 0.7, seed)
+        if not g.is_connected() or g.m == half * half:
             return
-        value, _ = toughness(b.graph)
+        value, _ = toughness(g)
         assert value <= 1
 
 

@@ -9,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toughspec.families import FamilySpec, build_family, family_graph, matches_family
+from toughspec.families import FamilySpec, family_graph, matches_family
 from toughspec.graphs import (
-    Bipartite,
+    bipartition_of,
     complete,
     complete_bipartite,
     cycle,
@@ -114,8 +114,8 @@ class TestThreshold:
 
     def test_bipartite_threshold_returns_sided_graph(self):
         thr, extremal = threshold(TheoremId(Theorem.BIP_INT, 20, r=2))
-        assert isinstance(extremal, Bipartite)
         # blocks (9, 5, 1, 5) for the divisible construction at n = 20
+        assert bipartition_of(extremal).x == frozenset(range(9)) | {14}
         assert thr == pytest.approx(split_quartic_root(9, 5, 1, 5), abs=1e-8)
 
     def test_indivisible_threshold_takes_the_larger_candidate(self):
@@ -124,7 +124,7 @@ class TestThreshold:
         rho_b = split_quartic_root(1, 10, 10, 1)  # single-column candidate
         assert rho_b > rho_a
         assert thr == pytest.approx(rho_b, abs=1e-8)
-        assert matches_family(extremal.graph, FamilySpec.bip_int_nondiv_b(22, 2))
+        assert matches_family(extremal, FamilySpec.bip_int_nondiv_b(22, 2))
 
     def test_threshold_is_stable_across_calls(self):
         t = TheoremId(Theorem.BIP_FRAC, 16, r_inv=2)
@@ -164,7 +164,7 @@ class TestVerdicts:
 
     def test_complete_bipartite_is_tough(self):
         verdict = check_graph_against_theorem(
-            complete_bipartite(10, 10).graph, TheoremId(Theorem.BIP_INT, 20, r=2)
+            complete_bipartite(10, 10), TheoremId(Theorem.BIP_INT, 20, r=2)
         )
         assert verdict.status is VerdictStatus.TOUGH
         assert verdict.rho == pytest.approx(10.0, abs=1e-8)
@@ -195,9 +195,9 @@ class TestVerdicts:
         ],
     )
     def test_each_family_is_extremal_under_its_theorem(self, tid, spec, ratio):
-        built = build_family(spec)
-        graph = built.graph if isinstance(built, Bipartite) else built
-        sides = built.sides if isinstance(built, Bipartite) else None
+        graph = family_graph(spec)
+        bipartite = tid.theorem in (Theorem.BIP_INT, Theorem.BIP_FRAC)
+        sides = bipartition_of(graph) if bipartite else None
         verdict = check_graph_against_theorem(graph, tid)
         assert verdict.status is VerdictStatus.EXTREMAL
         assert verdict.rho == pytest.approx(verdict.threshold, abs=1e-8)
@@ -267,7 +267,7 @@ class TestVerdicts:
     def test_unbalanced_bipartite_rejected(self):
         with pytest.raises(ValueError, match="balanced"):
             check_graph_against_theorem(
-                complete_bipartite(1, 19).graph, TheoremId(Theorem.BIP_INT, 20, r=2)
+                complete_bipartite(1, 19), TheoremId(Theorem.BIP_INT, 20, r=2)
             )
 
 
