@@ -220,7 +220,6 @@ REFERENCE_SPECS = [
     FamilySpec.bip_int_nondiv_b(38, 3),
     FamilySpec.bip_frac(16, 2),
     FamilySpec.bip_frac(20, 1),
-    FamilySpec.bip_frac(20, 1),
 ]
 BIPARTITE_SPECS = [s for s in REFERENCE_SPECS
                    if s.family not in (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA)]
