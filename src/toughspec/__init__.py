@@ -41,6 +41,7 @@ from .graphs import (
     join,
     path,
     petersen,
+    twin_classes,
 )
 from .lemmas import (
     ComparisonReport,

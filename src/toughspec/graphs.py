@@ -1,5 +1,6 @@
-"""Simple-graph core: immutable graphs, side partitions, the named graphs, and
-the disjoint union and join used to assemble the extremal families.
+"""Simple-graph core: immutable graphs, side partitions, the named graphs, the
+disjoint union and join used to assemble the extremal families, and twin
+classes.
 
 Vertices are always 0..n-1.  Binary operations relabel deterministically: the
 first operand keeps its indices, the second is shifted by the first's order.
@@ -299,3 +300,26 @@ def bipartition_of(g: Graph) -> SidePartition | None:
             even = not even
         remaining &= ~seen
     return SidePartition(frozenset(_members(x)), frozenset(_members(full & ~x)))
+
+
+def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The twin classes of g, ascending, ordered by their smallest member.
+
+    Vertices with equal open neighbourhoods form one class (isolated vertices
+    share the empty one); the vertices left alone are then grouped by closed
+    neighbourhood.  No vertex has both an open and a closed twin, so this is a
+    partition, and swapping two members of a class is an automorphism.
+    """
+    by_open: dict[int, list[int]] = {}
+    for v, mask in enumerate(g.masks):
+        by_open.setdefault(mask, []).append(v)
+    by_closed: dict[int, list[int]] = {}
+    classes = []
+    for members in by_open.values():
+        if len(members) > 1:
+            classes.append(tuple(members))
+        else:
+            v = members[0]
+            by_closed.setdefault(g.masks[v] | 1 << v, []).append(v)
+    classes.extend(tuple(members) for members in by_closed.values())
+    return tuple(sorted(classes))

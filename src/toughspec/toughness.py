@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, SidePartition, component_masks, vertex_mask
+from .graphs import Graph, SidePartition, _members, component_masks, twin_classes, vertex_mask
 
 INFINITE = math.inf  # sentinel: no disconnecting cut exists
 ENUMERATION_CAP = 22  # full scans are 2^n; anything larger is refused
@@ -73,6 +73,42 @@ def _union_tables(masks):
     return half, *tables
 
 
+def _class_walk(universe, classes):
+    """(bit, class predecessor's bit or 0, class members from it on) for each
+    vertex of the ascending ``universe``, which ``classes`` partitions."""
+    pred, rest = {}, {}
+    for cls in classes:
+        for j, v in enumerate(cls):
+            pred[v], rest[v] = (1 << cls[j - 1] if j else 0), len(cls) - j
+    return [(1 << v, pred[v], rest[v]) for v in universe]
+
+
+def _prefix_cuts(walk, size):
+    """The class-prefix cuts of ``size`` vertices, as bitmasks in lexicographic
+    order: the first k_i members of each class C_i, with sum k_i = size.
+
+    The walk runs over ``_class_walk``'s vertices in order and tries taking a
+    vertex before skipping it; a vertex may be taken only once its class
+    predecessor is, so a skip closes the rest of its class.  ``avail`` counts
+    the vertices from ``i`` on whose class is still open, and a branch ends
+    when it is below ``need``.
+    """
+    stack = [(0, size, len(walk), 0)]
+    while stack:
+        i, need, avail, cut = stack.pop()
+        if not need:
+            yield cut
+            continue
+        if avail < need:
+            continue
+        bit, before, left = walk[i]
+        while before and not cut & before:  # its class closed at an earlier skip
+            i += 1
+            bit, before, left = walk[i]
+        stack.append((i + 1, need, avail - left, cut))
+        stack.append((i + 1, need - 1, avail - 1, cut | bit))
+
+
 def _scan_min(g, universe, shift, cap, first_below=None):
     """Minimum cut ratio over the proper subsets of ``universe``.
 
@@ -86,6 +122,12 @@ def _scan_min(g, universe, shift, cap, first_below=None):
     Sizes stay below |universe|, so a one-sided cut never takes a whole side;
     a whole-graph scan needs no tighter stop, as at size n - 1 the best case
     is one component and the loop has already broken.
+    Within a size, cuts come in lexicographic order: every combination, or,
+    when the twin classes cut down to the universe leave at most a quarter of
+    its 2^|U| subsets as orbits (prod (|C_i| + 1) <= 2^|U| / 4), one cut per
+    orbit of the twin swaps, from ``_prefix_cuts``.  Each is the first of its
+    orbit, whose cuts all leave as many components, so the first minimizer
+    and the first cut below ``first_below`` are among them.
     Skipped cuts all leave one component or cannot improve, so the first
     strict minimizer is kept.  With ``first_below`` the scan instead stops at
     the first cut whose ratio is below it.  Each BFS step is two
@@ -97,6 +139,10 @@ def _scan_min(g, universe, shift, cap, first_below=None):
     full = (1 << n) - 1
     mu = min(((masks[u] & masks[v]).bit_count() for u in range(n) for v in range(u)
               if not masks[u] >> v & 1), default=0)
+    inside = vertex_mask(universe)
+    classes = [cls for cls in ([v for v in c if inside >> v & 1] for c in twin_classes(g)) if cls]
+    orbits = 4 * math.prod(len(cls) + 1 for cls in classes) <= 1 << len(universe)
+    walk = _class_walk(universe, classes) if orbits else None
     half, lo, hi = _union_tables(masks)
     low = (1 << half) - 1
     best = INFINITE if first_below is None else first_below
@@ -106,8 +152,12 @@ def _scan_min(g, universe, shift, cap, first_below=None):
         cmax = min(cap, n - size)
         if cmax < 2 or size * bd >= (cmax - shift) * bn:
             break
-        for combo in combinations([1 << v for v in universe], size):
-            rest = full ^ sum(combo)  # vertices of G - S not yet reached
+        if orbits:
+            cuts = _prefix_cuts(walk, size)
+        else:
+            cuts = map(sum, combinations([1 << v for v in universe], size))
+        for cut in cuts:
+            rest = full ^ cut  # vertices of G - S not yet reached
             c = 0
             while rest:
                 frontier = rest & -rest  # BFS from lowest unvisited vertex
@@ -120,7 +170,7 @@ def _scan_min(g, universe, shift, cap, first_below=None):
             if c > 1 and size * bd < d * bn:
                 bn, bd = size, d
                 best = Fraction(size, d)
-                witness = CutWitness(frozenset(b.bit_length() - 1 for b in combo), c, best)
+                witness = CutWitness(frozenset(_members(cut)), c, best)
                 if first_below is not None:
                     return best, witness
     return best, witness

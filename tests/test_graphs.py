@@ -17,11 +17,13 @@ from toughspec.graphs import (
     join,
     path,
     petersen,
+    twin_classes,
 )
-from toughspec.families import clique_with_satellites, split_join
+from toughspec.families import clique_with_satellites, family_graph, quotient_partition, split_join
 from toughspec.randoms import balanced_bipartite_gnp, gnp
 
 from helpers_naive import _naive_two_colouring, naive_component_count, relabeled
+from test_acceptance import criterion_3_specs
 
 
 class TestGraphBasics:
@@ -323,3 +325,63 @@ def test_mask_builders_match_validated_edge_lists(g1, g2, sizes):
 def test_component_count_matches_naive(seed, n):
     g = gnp(n, 0.4, seed)
     assert len(g.components()) == naive_component_count(g.n, g.edges())
+
+
+def naive_twin_partition(g):
+    """Classes of the relation "equal open or equal closed neighbourhoods", from edge sets."""
+    nbrs = {v: set() for v in range(g.n)}
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    classes = []
+    for v in range(g.n):
+        for cls in classes:
+            u = cls[0]
+            if nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(cls) for cls in classes)
+
+
+class TestTwinClasses:
+    def test_open_and_closed_twins(self):
+        # path 0-1-2 plus 3 joined to 1: 0, 2 and 3 share the open neighbourhood {1}
+        assert twin_classes(Graph(4, [(0, 1), (1, 2), (1, 3)])) == ((0, 2, 3), (1,))
+        # a triangle 0-1-2 with a pendant 3 at 2: 0 and 1 share the closed {0, 1, 2}
+        assert twin_classes(Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])) == ((0, 1), (2,), (3,))
+
+    def test_isolated_vertices_form_one_open_class(self):
+        assert twin_classes(empty(5)) == ((0, 1, 2, 3, 4),)
+        g = disjoint_union([path(2), empty(3)])  # 0-1 and isolated 2, 3, 4
+        assert twin_classes(g) == ((0, 1), (2, 3, 4))
+        assert twin_classes(empty(1)) == ((0,),)
+
+    def test_complete_and_complete_bipartite(self):
+        assert twin_classes(complete(6)) == (tuple(range(6)),)
+        assert twin_classes(complete_bipartite(3, 4)) == ((0, 1, 2), (3, 4, 5, 6))
+        assert twin_classes(complete_bipartite(1, 1)) == ((0, 1),)  # K_2 is closed twins
+
+    def test_disconnected_graph(self):
+        # two disjoint triangles: each is a closed class; the two stars' leaves are open classes
+        g = disjoint_union([complete(3), complete(3), join(complete(1), empty(2)),
+                            join(complete(1), empty(2))])
+        assert twin_classes(g) == ((0, 1, 2), (3, 4, 5), (6,), (7, 8), (9,), (10, 11))
+
+    def test_twin_free_graphs_have_singleton_classes(self):
+        for g in (petersen(), path(5), cycle(7)):
+            assert twin_classes(g) == tuple((v,) for v in range(g.n))
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 10), p=st.floats(0.0, 1.0))
+    def test_matches_naive_partition(self, seed, n, p):
+        g = gnp(n, p, seed)
+        assert twin_classes(g) == naive_twin_partition(g)
+
+    def test_equals_the_quotient_partition_on_the_criterion_3_grid(self):
+        specs = list(criterion_3_specs())
+        assert len(specs) == 664
+        for spec in specs:
+            got = {frozenset(cls) for cls in twin_classes(family_graph(spec))}
+            assert got == {frozenset(cls) for cls in quotient_partition(spec)}, spec

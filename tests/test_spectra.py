@@ -365,6 +365,8 @@ class TestLargestRealRoot:
     @example([Fraction(24)] * 3 + [Fraction(1345, 56)])
     # float Newton ends below 40, where the first exact step rises
     @example([Fraction(-2), Fraction(40)] + [Fraction(999, 25)] * 3)
+    # float Newton jumps below 361/12 onto the quadruple root 30 just under it
+    @example([Fraction(59, 2)] + [Fraction(30)] * 4 + [Fraction(361, 12)])
     def test_product_of_linear_factors(self, roots):
         top = max(roots)
         p = CharPoly(_product(roots))

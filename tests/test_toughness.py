@@ -1,8 +1,10 @@
 """Exact toughness, variation toughness, and one-sided bipartite versions."""
 
 import importlib
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from toughspec.graphs import (
     join,
     path,
     petersen,
+    twin_classes,
 )
 from toughspec.randoms import balanced_bipartite_gnp, connected_gnp, gnp
 from toughspec.toughness import (
@@ -43,6 +46,10 @@ from helpers_naive import (
     naive_variation,
     naive_vertex_connectivity,
 )
+
+
+# the package namespace re-exports the function toughness, so fetch the module
+TOUGHNESS_MODULE = importlib.import_module("toughspec.toughness")
 
 
 def star(leaves):
@@ -475,12 +482,150 @@ class TestSizeWindow:
         def refuse(*args):
             raise AssertionError("the one-sided scan enumerated cuts")
 
-        # the package namespace re-exports the function toughness, so fetch the module
-        monkeypatch.setattr(importlib.import_module("toughspec.toughness"), "combinations",
-                            refuse)
+        monkeypatch.setattr(TOUGHNESS_MODULE, "combinations", refuse)
         for g in (star(21), join(empty(21), complete(1))):
             sides = bipartition_of(g)
             assert bipartite_toughness(g, sides, ToughnessKind.TOUGHNESS) == (INFINITE, None)
+
+
+def twin_substituted(seed, n_max, bipartite=False, base_min=2, base_max=5):
+    """A twin-rich connected graph on at most ``n_max`` vertices, with its sides
+    when ``bipartite``.
+
+    Each vertex of a small random connected base graph becomes a set of 1-4
+    vertices, joined completely to the sets of its base neighbours: an
+    independent set (false twins) or a clique (true twins; never when
+    ``bipartite``, whose base is bipartite).  The vertices are then
+    relabelled at random, so that classes interleave.
+    """
+    rng = random.Random(seed)
+    k = rng.randint(base_min, base_max)
+    sizes = [rng.randint(1, 4) for _ in range(k)]
+    while sum(sizes) > n_max:
+        sizes[rng.randrange(k)] = 1
+    colour = [0] * k
+    base = set()
+    for i in range(1, k):  # a random spanning tree, then more edges
+        parent = rng.randrange(i)
+        colour[i] = 1 - colour[parent]
+        base.add((i, parent))
+    base |= {(i, j) for i in range(k) for j in range(i)
+             if (not bipartite or colour[i] != colour[j]) and rng.random() < 0.4}
+    n = sum(sizes)
+    perm = rng.sample(range(n), n)
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append([perm[v] for v in range(start, start + size)])
+        start += size
+    edges = [(u, v) for i, j in base for u in blocks[i] for v in blocks[j]]
+    for block in blocks:
+        if not bipartite and len(block) > 1 and rng.random() < 0.5:
+            edges += [(u, v) for u in block for v in block if u < v]
+    g = Graph(n, edges)
+    if not bipartite:
+        return g
+    x = frozenset(v for i, block in enumerate(blocks) if colour[i] for v in block)
+    return g, SidePartition(x, frozenset(range(n)) - x)
+
+
+def plain_scan():
+    """Force the combinations loop: every vertex its own twin class."""
+    return mock.patch.object(TOUGHNESS_MODULE, "twin_classes",
+                             lambda g: tuple((v,) for v in range(g.n)))
+
+
+def takes_orbit_path(g, universe):
+    inside = set(universe)
+    sizes = [len(inside.intersection(cls)) for cls in twin_classes(g)]
+    return 4 * math.prod(size + 1 for size in sizes) <= 1 << len(inside)
+
+
+def all_results(g, sides=None):
+    """Every quantity the cut scan serves, with its witness."""
+    results = [toughness(g), variation_toughness(g)]
+    results += [is_tau_tough(g, tau) for tau in TestSizeWindow.TAUS + (Fraction(7, 3),)]
+    if sides is not None:
+        results += [bipartite_toughness(g, sides, kind)
+                    for kind, shift in ONE_SIDED_KINDS if not shift or sides.is_balanced()]
+    return results
+
+
+class TestOrbitScan:
+    """The scan visits one cut per orbit of the twin swaps when that removes at
+    least three quarters of the cuts; values, witnesses and component counts
+    stay those of the full enumeration."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10**6))
+    def test_twin_rich_graphs_match_naive(self, seed):
+        g = twin_substituted(seed, 12)
+        for scan, shift in ((toughness, 0), (variation_toughness, 1)):
+            value, cut = naive_min_cut_ratio(g.n, g.edges(), shift)
+            assert scan(g) == (value, naive_witness(g, cut, shift))
+        for tau in TestSizeWindow.TAUS + (Fraction(7, 3),):
+            witness = naive_first_witness(g, tau)
+            assert is_tau_tough(g, tau) == (witness is None, witness)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10**6))
+    def test_twin_rich_one_sided_match_naive(self, seed):
+        assert_one_sided_matches_naive(*twin_substituted(seed, 12, bipartite=True))
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10**6), bipartite=st.booleans())
+    def test_twin_rich_graphs_match_the_plain_scan(self, seed, bipartite):
+        drawn = twin_substituted(seed, 16, bipartite, base_max=7)
+        g, sides = drawn if bipartite else (drawn, None)
+        got = all_results(g, sides)
+        with plain_scan():
+            assert got == all_results(g, sides)
+
+    def test_one_sided_labels_above_24_match_the_plain_scan(self):
+        # 26-30 vertices, sides up to 15, both sides on the orbit path: masks pass bit 24
+        checked = 0
+        for seed in range(1000):
+            g, sides = twin_substituted(seed, 30, bipartite=True, base_min=8, base_max=12)
+            if g.n < 26 or max(len(sides.x), len(sides.y)) > 15:
+                continue
+            if not all(takes_orbit_path(g, side) for side in (sides.x, sides.y)):
+                continue
+            kinds = [kind for kind, shift in ONE_SIDED_KINDS if not shift or sides.is_balanced()]
+            got = [bipartite_toughness(g, sides, kind) for kind in kinds]
+            with plain_scan():
+                assert got == [bipartite_toughness(g, sides, kind) for kind in kinds]
+            checked += 1
+            if checked == 8:
+                break
+        assert checked == 8
+
+    def test_one_sided_labels_above_24_match_naive(self):
+        # X = {0, 2, ..., 24} false twins joined to all of Y; Y = 13 vertices up to 25,
+        # split into a class of 12 and one vertex also joined to 26 (a pendant in X)
+        x = list(range(0, 26, 2)) + [26]
+        y = list(range(1, 26, 2))
+        edges = [(u, v) for u in x[:-1] for v in y] + [(25, 26)]
+        g = Graph(27, edges)
+        sides = bipartition_of(g)
+        assert sides.x == frozenset(x)
+        assert all(takes_orbit_path(g, side) for side in (sides.x, sides.y))
+        assert_one_sided_matches_naive(g, sides)
+
+    def test_selection_at_a_quarter_of_the_cuts(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the scan enumerated every combination")
+
+        # (classes + 1) products against 2^n / 4: K3,3 16 <= 16 and K1,5 12 <= 16 take
+        # the orbit path; K1,4 10 > 8 and the twin-free Petersen graph the plain one
+        orbit = [complete_bipartite(3, 3), complete_bipartite(1, 5),
+                 family_graph(FamilySpec.tough_int(14, 2))]
+        plain = [complete_bipartite(1, 4), petersen()]
+        expected = [all_results(g) for g in orbit]
+        assert [takes_orbit_path(g, range(g.n)) for g in orbit + plain] == [True] * 3 + [False] * 2
+        monkeypatch.setattr(TOUGHNESS_MODULE, "combinations", refuse)
+        assert [all_results(g) for g in orbit] == expected
+        for g in plain:
+            with pytest.raises(AssertionError, match="every combination"):
+                toughness(g)
 
 
 def test_results_are_reproducible():
