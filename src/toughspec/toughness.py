@@ -15,6 +15,16 @@ cut can disconnect: below mu(G), the fewest common neighbours of a non-adjacent
 pair, since every cut separating u from v contains N(u) & N(v); and, for a
 one-sided cut, sizes whose bound needs more components than the other side has
 vertices, since every component of G - S then holds a vertex of that side.
+
+Twins, vertices with equal open or equal closed neighbourhoods
+(``graphs.twin_classes``), can be swapped by an automorphism, so every cut in
+one orbit of the twin swaps leaves as many components.  The orbit of a cut is
+fixed by how many members it takes from each class, and its lexicographically
+first cut takes the first members of each class.  When those orbits number at
+most a quarter of the cuts, prod (|C_i| + 1) <= 2^|U| / 4 over the scanned
+vertex set U, the scan visits that first cut alone, in the same order; the
+first minimizer and the first cut below a bound are always such cuts, so
+values and witnesses do not depend on which way the scan went.
 """
 
 from __future__ import annotations
