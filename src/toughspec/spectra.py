@@ -256,40 +256,26 @@ def largest_real_root(p: CharPoly) -> float:
     """
     floats = [float(c) for c in p.coeffs]
     start = 2.0 * max((abs(c) ** (1.0 / k) for k, c in enumerate(floats[1:], 1)), default=0.0)
-    x = _newton(p.coeffs, Fraction, _newton(floats, float, start))
-    above = _certify(p.coeffs, x)
-    if above:
-        x = _newton(p.coeffs, Fraction, start)
-        above = _certify(p.coeffs, x)
-    if above is None:
-        return x
+    for steps in ((float, floats), (Fraction, p.coeffs)), ((Fraction, p.coeffs),):
+        x = start
+        for number, coeffs in steps:
+            for _ in range(_NEWTON_STEPS):
+                at = number(x)
+                value, slope = _value_and_slope(coeffs, at)
+                if not slope:
+                    break
+                x, last = float(at - value / slope), x
+                if x == last or (x > last and number is float):  # a rising float step is noise
+                    break
+        centre, scale = Fraction(x), max(1.0, abs(x))
+        for shrink in (1000, 100, 10, 1):
+            h = Fraction(RADIUS_TOL * scale) / shrink
+            above = _sign_changes(p.coeffs, centre + h)
+            if above == 0 and _sign_changes(p.coeffs, centre - h) % 2:
+                return x
+        if not above:  # no root above x to fall onto
+            break
     raise RootIsolationError(f"no certificate isolates the largest root near {x!r}")
-
-
-def _newton(coeffs, number, x: float) -> float:
-    """Newton steps from x in the arithmetic ``number``, each rounded to a
-    float, until they repeat (or, for floats, until one rises: that is noise)."""
-    for _ in range(_NEWTON_STEPS):
-        at = number(x)
-        value, slope = _value_and_slope(coeffs, at)
-        if not slope:
-            break
-        x, last = float(at - value / slope), x
-        if x == last or (x > last and number is float):
-            break
-    return x
-
-
-def _certify(coeffs: Sequence[Fraction], x: float) -> bool | None:
-    """None when some h up to ``RADIUS_TOL * max(1, |x|)`` isolates the
-    largest root in (x - h, x + h]; else whether a root lies above x + h."""
-    centre, scale = Fraction(x), max(1.0, abs(x))
-    for shrink in (1000, 100, 10, 1):
-        h = Fraction(RADIUS_TOL * scale) / shrink
-        above = _sign_changes(coeffs, centre + h)
-        if above == 0 and _sign_changes(coeffs, centre - h) % 2:
-            return None
-    return above > 0
 
 
 def _value_and_slope(coeffs, x):
