@@ -41,7 +41,6 @@ from .graphs import (
     join,
     path,
     petersen,
-    twin_classes,
 )
 from .lemmas import (
     ComparisonReport,

@@ -482,10 +482,15 @@ class TestSizeWindow:
         def refuse(*args):
             raise AssertionError("the one-sided scan enumerated cuts")
 
+        # the 21-leaf side is one twin class, so it would take the orbit path;
+        # refuse both ways of enumerating, on both paths
         monkeypatch.setattr(TOUGHNESS_MODULE, "combinations", refuse)
+        monkeypatch.setattr(TOUGHNESS_MODULE, "_prefix_cuts", refuse)
         for g in (star(21), join(empty(21), complete(1))):
             sides = bipartition_of(g)
             assert bipartite_toughness(g, sides, ToughnessKind.TOUGHNESS) == (INFINITE, None)
+            with plain_scan():
+                assert bipartite_toughness(g, sides, ToughnessKind.TOUGHNESS) == (INFINITE, None)
 
 
 def twin_substituted(seed, n_max, bipartite=False, base_min=2, base_max=5):
