@@ -5,7 +5,9 @@ failed inequality, nonpositive margin, or counterexample).  All output is
 deterministic: identical invocations, including --seed, print identical bytes.
 
 Every subcommand is one row of ``COMMANDS`` and returns ``(exit code, JSON
-payload, text lines)``; ``run`` is the only function that prints.
+payload, text lines)``; ``run`` is the only function that prints.  An input the
+library refuses raises ValueError where it is computed, so every subcommand
+that reaches the same function prints the same ``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from typing import Callable, NamedTuple
 from .bounds import Bound, brouwer_margin, check_all_bounds, check_bound
 from .families import Family, FamilySpec, family_graph
 from .graphio import GraphFormat, parse_graph, serialize_graph
-from .graphs import Graph, bipartition_of
+from .graphs import Graph
 from .lemmas import Lemma, check_lemma_comparison, rotation_experiment
 from .spectra import full_spectrum, spectral_radius
 from .toughness import (
-    ENUMERATION_CAP,
     INFINITE,
     ToughnessKind,
     bipartite_toughness,
@@ -150,15 +151,7 @@ def cmd_tough(ns):
     elif ns.kind == "variation":
         value, witness = variation_toughness(g)
     else:
-        if g.n > 2 * ENUMERATION_CAP:  # refused before the superlinear bipartition
-            raise ValueError(f"cut enumeration over a side of at least {(g.n + 1) // 2} "
-                             f"vertices exceeds the cap of {ENUMERATION_CAP} (2^n subsets)")
-        sides = bipartition_of(g)
-        if sides is None:
-            raise UsageError("one-sided toughness needs a bipartite graph")
-        tk = (ToughnessKind.TOUGHNESS if ns.kind == "bipartite-toughness"
-              else ToughnessKind.VARIATION)
-        value, witness = bipartite_toughness(g, sides, tk)
+        value, witness = bipartite_toughness(g, ToughnessKind(ns.kind.removeprefix("bipartite-")))
     lines = [f"{ns.kind} = {_ratio_str(value)}"]
     if witness is not None:
         side = f" side={witness.side}" if witness.side else ""

@@ -1,4 +1,4 @@
-"""Simple-graph core: immutable graphs, side partitions, the named graphs, the
+"""Simple-graph core: immutable graphs, the bipartition, the named graphs, the
 disjoint union and join used to assemble the extremal families, and twin
 classes.
 
@@ -176,25 +176,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class SidePartition:
-    """Two-coloring of a bipartite graph's vertex set into sides X and Y."""
+    """Two-coloring of a bipartite graph's vertex set into sides X and Y; the
+    library makes one only in ``bipartition_of``, so it needs no validation."""
 
     x: frozenset[int]
     y: frozenset[int]
-
-    def validate_for(self, g: Graph) -> None:
-        if self.x & self.y:
-            raise ValueError("sides are not disjoint")
-        if self.x | self.y != frozenset(range(g.n)):
-            raise ValueError("sides do not cover the vertex set")
-        x, y = vertex_mask(self.x), vertex_mask(self.y)
-        for u, nbrs in enumerate(g.masks):
-            # the first vertex with a same-side neighbour starts the
-            # lexicographically first bad edge, so its lowest such neighbour
-            # is the other end
-            same = nbrs & (x if x >> u & 1 else y)
-            if same:
-                v = (same & -same).bit_length() - 1
-                raise ValueError(f"edge ({u}, {v}) does not cross the sides")
 
     def is_balanced(self) -> bool:
         return len(self.x) == len(self.y)

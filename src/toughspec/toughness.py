@@ -2,7 +2,9 @@
 
 Four quantities share one scan: classical toughness min |S| / c(G-S), the
 variation with denominator c(G-S) - 1, and their bipartite one-sided versions
-where S may only be drawn from a single side of the bipartition.  Values are
+where S may only be drawn from a single side of the bipartition.  A connected
+bipartite graph has one bipartition, so ``bipartite_toughness`` takes the graph
+alone, finds the sides and makes every one-sided refusal itself.  Values are
 exact rationals; complete graphs (and bipartite graphs no one-sided proper
 subset disconnects) get the distinguished INFINITE value, which compares
 greater than every finite ratio.
@@ -37,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, SidePartition, _members, component_masks, twin_classes, vertex_mask
+from .graphs import Graph, _members, bipartition_of, component_masks, twin_classes, vertex_mask
 
 INFINITE = math.inf  # sentinel: no disconnecting cut exists
 ENUMERATION_CAP = 22  # full scans are 2^n; anything larger is refused
@@ -237,29 +239,33 @@ def is_tau_tough(g: Graph, tau: Fraction | int) -> tuple[bool, CutWitness | None
 
 
 def bipartite_toughness(
-    g: Graph,
-    sides: SidePartition,
-    kind: ToughnessKind = ToughnessKind.VARIATION,
+    g: Graph, kind: ToughnessKind = ToughnessKind.VARIATION
 ) -> tuple[Fraction | float, CutWitness | None]:
-    """One-sided toughness: cuts range over proper subsets of a single side.
+    """One-sided toughness: cuts range over proper subsets of a single side of
+    ``bipartition_of(g)``, whose side X holds vertex 0.
 
     Both sides are scanned (side X first) and the overall minimum wins; the
     witness records which side its cut came from.  The VARIATION kind uses
-    denominator c(G-S) - 1 and requires a balanced bipartition.
+    denominator c(G-S) - 1 and requires a balanced bipartition.  Refusals, in
+    order: over 2 * ENUMERATION_CAP vertices (before the superlinear bipartition
+    search), an odd cycle, a side over the cap, a disconnected graph, and
+    unbalanced sides for VARIATION.
     """
+    if g.n > 2 * ENUMERATION_CAP:
+        raise ValueError(f"cut enumeration over a side of at least {(g.n + 1) // 2} "
+                         f"vertices exceeds the cap of {ENUMERATION_CAP} (2^n subsets)")
+    sides = bipartition_of(g)
+    if sides is None:
+        raise ValueError("one-sided toughness needs a bipartite graph")
     _check_cap(max(len(sides.x), len(sides.y)))
     _require_connected(g)
-    sides.validate_for(g)
     kind = ToughnessKind(kind)
     shift = 1 if kind is ToughnessKind.VARIATION else 0
     if kind is ToughnessKind.VARIATION and not sides.is_balanced():
         raise ValueError("one-sided variation toughness requires a balanced bipartition")
-    best = INFINITE
-    witness = None
+    best, witness = INFINITE, None
     for label, side, other in (("X", sides.x, sides.y), ("Y", sides.y, sides.x)):
-        universe = sorted(side)
-        found, side_witness = _scan_min(g, universe, shift, len(other))
+        found, side_witness = _scan_min(g, sorted(side), shift, len(other))
         if found < best:
-            best = found
-            witness = replace(side_witness, side=label)
+            best, witness = found, replace(side_witness, side=label)
     return best, witness

@@ -140,12 +140,12 @@ def check_graph_against_theorem(g: Graph, t: TheoremId) -> Verdict:
         raise ValueError(f"graph order {g.n} does not match theorem order {t.n}")
     if not g.is_connected():
         raise ValueError("theorem applies to connected graphs")
-    sides = None
     if t.theorem is Theorem.TOUGH_FRAC_MINDEG and g.min_degree() != t.delta:
         raise ValueError(
             f"minimum degree {g.min_degree()} does not match delta={t.delta}"
         )
-    if t.theorem in (Theorem.BIP_INT, Theorem.BIP_FRAC):
+    bipartite = t.theorem in (Theorem.BIP_INT, Theorem.BIP_FRAC)
+    if bipartite:
         sides = bipartition_of(g)
         if sides is None:
             raise ValueError("theorem applies to bipartite graphs")
@@ -158,12 +158,12 @@ def check_graph_against_theorem(g: Graph, t: TheoremId) -> Verdict:
     if rho < thr - RHO_THRESHOLD_TOL:
         return Verdict(VerdictStatus.BELOW, rho, thr)
     tau = t.required_toughness()
-    if sides is None:
-        tough, witness = is_tau_tough(g, tau)
-    else:
-        value, min_witness = bipartite_toughness(g, sides, ToughnessKind.VARIATION)
+    if bipartite:
+        value, min_witness = bipartite_toughness(g, ToughnessKind.VARIATION)
         tough = value >= tau
         witness = None if tough else min_witness
+    else:
+        tough, witness = is_tau_tough(g, tau)
     if tough:
         return Verdict(VerdictStatus.TOUGH, rho, thr)
     if matches_family(g, winner_spec):

@@ -242,7 +242,7 @@ def test_criterion_4_extremal_non_toughness():
     stage = time.perf_counter()
     g = family_graph(FamilySpec.bip_frac(16, 2))  # blocks (1, 5, 7, 3)
     sides = bipartition_of(g)
-    value, witness = bipartite_toughness(g, sides, ToughnessKind.VARIATION)
+    value, witness = bipartite_toughness(g, ToughnessKind.VARIATION)
     check_stage(value, witness, g, Fraction(1, 3), stage)
     assert witness.side == "X"
     assert witness.cut < sides.x

@@ -6,6 +6,7 @@ checked exactly; one subprocess test covers the installed entry point.
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 import math
@@ -43,6 +44,9 @@ SUBCOMMANDS = (
 )
 
 NINE_DECIMALS = re.compile(r"-?\d+\.\d{9}$")
+
+# the package namespace re-exports the function toughness, so fetch the module
+TOUGHNESS_MODULE = importlib.import_module("toughspec.toughness")
 
 
 @pytest.fixture
@@ -182,7 +186,7 @@ class TestTough:
         def refuse(g):
             raise AssertionError("bipartition searched before the side cap check")
 
-        monkeypatch.setattr(cli, "bipartition_of", refuse)
+        monkeypatch.setattr(TOUGHNESS_MODULE, "bipartition_of", refuse)
         for target, side in ((str(huge), 100000), (graph_file(cycle(45)), 23)):
             assert run(["tough", "--in", target, "--kind", kind]) == 1
             assert capsys.readouterr().err == (
@@ -447,6 +451,21 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("status=extremal ")
+
+    def test_one_sided_refusal_is_the_tough_commands(self, capsys, graph_file):
+        # the extremal bip-frac graph on 46 vertices reaches the one-sided
+        # scan, whose sides of 23 are over the cap
+        target = graph_file(family_graph(FamilySpec.bip_frac(46, 2)))
+        refusals = []
+        for argv in (["verify", "--in", target, "--theorem", "bip-frac", "--r-inv", "2"],
+                     ["tough", "--in", target, "--kind", "bipartite-variation"]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            refusals.append(captured.err)
+        assert refusals == [
+            "error: cut enumeration over a side of at least 23 vertices exceeds "
+            "the cap of 22 (2^n subsets)\n"] * 2
 
     def test_counterexample_exits_two(self, capsys, monkeypatch, graph_file):
         verdict = Verdict(VerdictStatus.COUNTEREXAMPLE, 3.0, 2.5,

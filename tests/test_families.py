@@ -107,7 +107,8 @@ class TestConstruction:
     def test_bipartite_families_carry_sides(self):
         g = build_family(FamilySpec.bip_frac(16, 2))
         sides = bipartition_of(g)
-        sides.validate_for(g)
+        assert sides.y == frozenset(range(g.n)) - sides.x
+        assert all((u in sides.x) != (v in sides.x) for u, v in g.edges())
         assert sides.is_balanced()
 
     def test_clique_families_are_plain_graphs(self):

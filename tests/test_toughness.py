@@ -13,7 +13,6 @@ from toughspec import graphs
 from toughspec.families import FamilySpec, family_graph
 from toughspec.graphs import (
     Graph,
-    SidePartition,
     bipartition_of,
     complete,
     complete_bipartite,
@@ -45,6 +44,7 @@ from helpers_naive import (
     naive_toughness,
     naive_variation,
     naive_vertex_connectivity,
+    relabeled,
 )
 
 
@@ -104,14 +104,13 @@ class TestToughness:
 
     def test_cap_is_checked_before_the_connectivity_search(self, monkeypatch):
         ring = cycle(46)
-        sides = bipartition_of(ring)
 
         def refuse(*args):
             raise AssertionError("component search ran before the cap check")
 
         monkeypatch.setattr(graphs, "component_masks", refuse)
         scans = (toughness, variation_toughness, lambda g: is_tau_tough(g, 1),
-                 lambda g: bipartite_toughness(g, sides))
+                 bipartite_toughness)
         for scan in scans:
             with pytest.raises(ValueError, match="cap"):
                 scan(ring)
@@ -188,9 +187,7 @@ class TestIsTauTough:
 
 class TestBipartiteToughness:
     def test_even_cycle_one_sided_variation(self):
-        g = cycle(6)
-        sides = bipartition_of(g)
-        value, witness = bipartite_toughness(g, sides)
+        value, witness = bipartite_toughness(cycle(6))
         # proper one-sided subsets cannot reach the three-way cut {0, 2, 4}
         assert value == Fraction(2)
         assert witness.cut == frozenset({0, 2})
@@ -198,40 +195,57 @@ class TestBipartiteToughness:
 
     def test_complete_bipartite_is_one_sided_infinite(self):
         g = complete_bipartite(3, 3)
-        value, witness = bipartite_toughness(g, bipartition_of(g))
+        value, witness = bipartite_toughness(g)
         assert value is INFINITE and witness is None
 
     def test_split_family_fails_its_target(self):
         g = family_graph(FamilySpec.bip_frac(16, 2))
-        value, witness = bipartite_toughness(g, bipartition_of(g))
+        value, witness = bipartite_toughness(g)
         assert value == Fraction(1, 3)
         assert witness == CutWitness(frozenset({0}), 4, Fraction(1, 3), side="X")
 
     def test_toughness_kind_on_same_family(self):
         g = family_graph(FamilySpec.bip_frac(16, 2))
-        value, witness = bipartite_toughness(
-            g, bipartition_of(g), kind=ToughnessKind.TOUGHNESS)
+        value, witness = bipartite_toughness(g, kind=ToughnessKind.TOUGHNESS)
         assert value == Fraction(1, 4)
         assert witness.side == "X"
 
     def test_variation_requires_balanced_sides(self):
         g = complete_bipartite(2, 3)
-        sides = bipartition_of(g)
         with pytest.raises(ValueError, match="balanced"):
-            bipartite_toughness(g, sides, kind=ToughnessKind.VARIATION)
+            bipartite_toughness(g, kind=ToughnessKind.VARIATION)
         # the plain kind accepts unbalanced sides
-        value, _ = bipartite_toughness(g, sides, kind=ToughnessKind.TOUGHNESS)
+        value, _ = bipartite_toughness(g, kind=ToughnessKind.TOUGHNESS)
         assert value is INFINITE
 
-    def test_sides_must_describe_the_graph(self):
-        g = cycle(6)
-        with pytest.raises(ValueError):
-            bipartite_toughness(g, bipartition_of(cycle(8)))
+    @pytest.mark.parametrize("kind", list(ToughnessKind))
+    def test_non_bipartite_graph_is_refused(self, kind):
+        # the tough command's message, also for a disconnected graph
+        for g in (cycle(5), complete(44), disjoint_union([cycle(3), path(2)])):
+            with pytest.raises(ValueError, match="^one-sided toughness needs a bipartite graph$"):
+                bipartite_toughness(g, kind)
 
     def test_cap_applies_to_side_size(self):
         g = cycle(46)
         with pytest.raises(ValueError, match="cap"):
-            bipartite_toughness(g, bipartition_of(g))
+            bipartite_toughness(g)
+
+    @pytest.mark.parametrize("kind", list(ToughnessKind))
+    def test_refusals_come_in_order(self, kind):
+        # over 44 vertices, then an odd cycle, then a side over 22, then a
+        # disconnected graph, then (variation only) unbalanced sides
+        over = "cut enumeration over a side of at least 23 vertices exceeds the cap of 22"
+        side = "cut enumeration over 23 vertices exceeds the cap of 22"
+        cases = [(disjoint_union([cycle(3), empty(42)]), over),
+                 (disjoint_union([cycle(3), path(2)]), "bipartite"),
+                 (disjoint_union([star(23), empty(1)]), side),
+                 (disjoint_union([path(2), empty(1)]), "connected graphs only")]
+        for g, message in cases:
+            with pytest.raises(ValueError, match=message):
+                bipartite_toughness(g, kind)
+        if kind is ToughnessKind.VARIATION:
+            with pytest.raises(ValueError, match="balanced"):
+                bipartite_toughness(star(2), kind)
 
 
 class TestAgainstNaiveEnumeration:
@@ -258,7 +272,7 @@ class TestAgainstNaiveEnumeration:
             return
         sides = bipartition_of(g)
         assert sides.x == frozenset(range(half))  # the model's halves
-        value, witness = bipartite_toughness(g, sides)
+        value, witness = bipartite_toughness(g)
         naive_x, _ = naive_min_cut_ratio(
             g.n, g.edges(), shift=1,
             universe=sorted(sides.x), proper=True)
@@ -269,7 +283,7 @@ class TestAgainstNaiveEnumeration:
         if witness is not None:
             side = sides.x if witness.side == "X" else sides.y
             assert witness.cut < side  # proper subset of one side
-            assert components_after_deletion(g, witness.cut) == witness.components
+            assert naive_component_count(g.n, g.edges(), witness.cut) == witness.components
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10**6), n=st.integers(3, 10))
@@ -314,8 +328,9 @@ def naive_first_witness(g, tau):
     return None if first is None else naive_witness(g, first[0], 1)
 
 
-def naive_one_sided_result(g, sides, shift):
+def naive_one_sided_result(g, shift):
     """What bipartite_toughness should return: side X first, Y on a strict win."""
+    sides = bipartition_of(g)
     best, witness = INFINITE, None
     for label, side in (("X", sides.x), ("Y", sides.y)):
         value, cut = naive_min_cut_ratio(g.n, g.edges(), shift, universe=side, proper=True)
@@ -371,11 +386,10 @@ class TestTableDrivenScan:
         g = Graph(n, edges)
         if not g.is_connected():
             return
-        sides = SidePartition(x, frozenset(range(n)) - x)
+        assert bipartition_of(g).x in (x, frozenset(range(n)) - x)
         for kind, shift in ((ToughnessKind.TOUGHNESS, 0), (ToughnessKind.VARIATION, 1)):
             if not (shift and n % 2):
-                assert bipartite_toughness(g, sides, kind) == naive_one_sided_result(
-                    g, sides, shift)
+                assert bipartite_toughness(g, kind) == naive_one_sided_result(g, shift)
 
     def test_order_22_star_and_path(self):
         hub_last = join(empty(21), complete(1))  # K1,21, its hub in the high table
@@ -390,10 +404,9 @@ class TestTableDrivenScan:
                 witness = naive_first_witness(g, tau)
                 assert witness is not None
                 assert is_tau_tough(g, tau) == (False, witness)
-        sides = bipartition_of(line)  # evens and odds, spread over both tables
+        # sides are the evens and the odds, spread over both tables
         for kind, shift in ((ToughnessKind.TOUGHNESS, 0), (ToughnessKind.VARIATION, 1)):
-            assert bipartite_toughness(line, sides, kind) == naive_one_sided_result(
-                line, sides, shift)
+            assert bipartite_toughness(line, kind) == naive_one_sided_result(line, shift)
 
 
 def common_neighbour_floor(g):
@@ -413,10 +426,15 @@ def octahedron():
 ONE_SIDED_KINDS = ((ToughnessKind.TOUGHNESS, 0), (ToughnessKind.VARIATION, 1))
 
 
-def assert_one_sided_matches_naive(g, sides):
-    for kind, shift in ONE_SIDED_KINDS:
-        if not shift or sides.is_balanced():
-            assert bipartite_toughness(g, sides, kind) == naive_one_sided_result(g, sides, shift)
+def one_sided_kinds(g):
+    """The one-sided kinds g takes: variation only with balanced sides."""
+    return [(kind, shift) for kind, shift in ONE_SIDED_KINDS
+            if not shift or bipartition_of(g).is_balanced()]
+
+
+def assert_one_sided_matches_naive(g):
+    for kind, shift in one_sided_kinds(g):
+        assert bipartite_toughness(g, kind) == naive_one_sided_result(g, shift)
 
 
 class TestSizeWindow:
@@ -460,7 +478,7 @@ class TestSizeWindow:
     @pytest.mark.parametrize("hubs_first", [True, False])
     def test_stars_and_two_hub_bicliques(self, hubs, leaves, hubs_first):
         g = join(empty(hubs), empty(leaves)) if hubs_first else join(empty(leaves), empty(hubs))
-        assert_one_sided_matches_naive(g, bipartition_of(g))
+        assert_one_sided_matches_naive(g)
 
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 10**6), nx=st.integers(1, 9), ny=st.integers(1, 2),
@@ -474,9 +492,14 @@ class TestSizeWindow:
         g = Graph(n, edges)
         if not g.is_connected():
             return
-        x = frozenset(range(n)) - y
-        for sides in (SidePartition(x, y), SidePartition(y, x)):
-            assert_one_sided_matches_naive(g, sides)
+        # a copy with vertex 0 swapped onto the other side turns sides X and Y round
+        first = y if 0 in y else frozenset(range(n)) - y
+        other = min(frozenset(range(n)) - first)
+        swap = list(range(n))
+        swap[0], swap[other] = other, 0
+        for h, x in ((g, first), (relabeled(Graph, g, swap), frozenset(range(n)) - first)):
+            assert len(bipartition_of(h).x) == len(x)
+            assert_one_sided_matches_naive(h)
 
     def test_star_leaf_side_is_never_enumerated(self, monkeypatch):
         def refuse(*args):
@@ -487,14 +510,13 @@ class TestSizeWindow:
         monkeypatch.setattr(TOUGHNESS_MODULE, "combinations", refuse)
         monkeypatch.setattr(TOUGHNESS_MODULE, "_prefix_cuts", refuse)
         for g in (star(21), join(empty(21), complete(1))):
-            sides = bipartition_of(g)
-            assert bipartite_toughness(g, sides, ToughnessKind.TOUGHNESS) == (INFINITE, None)
+            assert bipartite_toughness(g, ToughnessKind.TOUGHNESS) == (INFINITE, None)
             with plain_scan():
-                assert bipartite_toughness(g, sides, ToughnessKind.TOUGHNESS) == (INFINITE, None)
+                assert bipartite_toughness(g, ToughnessKind.TOUGHNESS) == (INFINITE, None)
 
 
 def twin_substituted(seed, n_max, bipartite=False, base_min=2, base_max=5):
-    """A twin-rich connected graph on at most ``n_max`` vertices, with its sides
+    """A twin-rich connected graph on at most ``n_max`` vertices, bipartite
     when ``bipartite``.
 
     Each vertex of a small random connected base graph becomes a set of 1-4
@@ -526,11 +548,7 @@ def twin_substituted(seed, n_max, bipartite=False, base_min=2, base_max=5):
     for block in blocks:
         if not bipartite and len(block) > 1 and rng.random() < 0.5:
             edges += [(u, v) for u in block for v in block if u < v]
-    g = Graph(n, edges)
-    if not bipartite:
-        return g
-    x = frozenset(v for i, block in enumerate(blocks) if colour[i] for v in block)
-    return g, SidePartition(x, frozenset(range(n)) - x)
+    return Graph(n, edges)
 
 
 def plain_scan():
@@ -545,13 +563,12 @@ def takes_orbit_path(g, universe):
     return 4 * math.prod(size + 1 for size in sizes) <= 1 << len(inside)
 
 
-def all_results(g, sides=None):
+def all_results(g, one_sided=False):
     """Every quantity the cut scan serves, with its witness."""
     results = [toughness(g), variation_toughness(g)]
     results += [is_tau_tough(g, tau) for tau in TestSizeWindow.TAUS + (Fraction(7, 3),)]
-    if sides is not None:
-        results += [bipartite_toughness(g, sides, kind)
-                    for kind, shift in ONE_SIDED_KINDS if not shift or sides.is_balanced()]
+    if one_sided:
+        results += [bipartite_toughness(g, kind) for kind, _ in one_sided_kinds(g)]
     return results
 
 
@@ -574,30 +591,29 @@ class TestOrbitScan:
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10**6))
     def test_twin_rich_one_sided_match_naive(self, seed):
-        assert_one_sided_matches_naive(*twin_substituted(seed, 12, bipartite=True))
+        assert_one_sided_matches_naive(twin_substituted(seed, 12, bipartite=True))
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10**6), bipartite=st.booleans())
     def test_twin_rich_graphs_match_the_plain_scan(self, seed, bipartite):
-        drawn = twin_substituted(seed, 16, bipartite, base_max=7)
-        g, sides = drawn if bipartite else (drawn, None)
-        got = all_results(g, sides)
+        g = twin_substituted(seed, 16, bipartite, base_max=7)
+        got = all_results(g, bipartite)
         with plain_scan():
-            assert got == all_results(g, sides)
+            assert got == all_results(g, bipartite)
 
     def test_one_sided_labels_above_24_match_the_plain_scan(self):
         # 26-30 vertices, sides up to 15, both sides on the orbit path: masks pass bit 24
         checked = 0
         for seed in range(1000):
-            g, sides = twin_substituted(seed, 30, bipartite=True, base_min=8, base_max=12)
+            g = twin_substituted(seed, 30, bipartite=True, base_min=8, base_max=12)
+            sides = bipartition_of(g)
             if g.n < 26 or max(len(sides.x), len(sides.y)) > 15:
                 continue
             if not all(takes_orbit_path(g, side) for side in (sides.x, sides.y)):
                 continue
-            kinds = [kind for kind, shift in ONE_SIDED_KINDS if not shift or sides.is_balanced()]
-            got = [bipartite_toughness(g, sides, kind) for kind in kinds]
+            got = [bipartite_toughness(g, kind) for kind, _ in one_sided_kinds(g)]
             with plain_scan():
-                assert got == [bipartite_toughness(g, sides, kind) for kind in kinds]
+                assert got == [bipartite_toughness(g, kind) for kind, _ in one_sided_kinds(g)]
             checked += 1
             if checked == 8:
                 break
@@ -613,7 +629,7 @@ class TestOrbitScan:
         sides = bipartition_of(g)
         assert sides.x == frozenset(x)
         assert all(takes_orbit_path(g, side) for side in (sides.x, sides.y))
-        assert_one_sided_matches_naive(g, sides)
+        assert_one_sided_matches_naive(g)
 
     def test_selection_at_a_quarter_of_the_cuts(self, monkeypatch):
         def refuse(*args):
