@@ -75,7 +75,6 @@ from .toughness import (
     CutWitness,
     ToughnessKind,
     bipartite_toughness,
-    components_after_deletion,
     is_tau_tough,
     toughness,
     variation_toughness,

@@ -37,9 +37,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
-from .graphs import Graph, _members, bipartition_of, component_masks, twin_classes, vertex_mask
+from .graphs import Graph, _members, bipartition_of, twin_classes, vertex_mask
 
 INFINITE = math.inf  # sentinel: no disconnecting cut exists
 ENUMERATION_CAP = 22  # full scans are 2^n; anything larger is refused
@@ -62,17 +61,6 @@ class CutWitness:
     components: int
     ratio: Fraction
     side: str | None = None
-
-
-def components_after_deletion(g: Graph, cut: Iterable[int]) -> int:
-    """Number of connected components of G - cut."""
-    removed = frozenset(cut)
-    for v in removed:
-        if not 0 <= v < g.n:
-            raise ValueError(f"cut vertex {v} out of range")
-    if len(removed) == g.n:
-        raise ValueError("cut must not delete every vertex")
-    return len(component_masks(g.masks, (1 << g.n) - 1 & ~vertex_mask(removed)))
 
 
 def _union_tables(masks):

@@ -31,7 +31,6 @@ from toughspec.toughness import (
     ToughnessKind,
     _union_tables,
     bipartite_toughness,
-    components_after_deletion,
     is_tau_tough,
     toughness,
     variation_toughness,
@@ -56,19 +55,6 @@ def star(leaves):
     return join(complete(1), empty(leaves))
 
 
-class TestComponentsAfterDeletion:
-    def test_basic(self):
-        assert components_after_deletion(path(5), [2]) == 2
-        assert components_after_deletion(path(5), []) == 1
-        assert components_after_deletion(star(3), [0]) == 3
-
-    def test_rejects_full_deletion_and_bad_vertices(self):
-        with pytest.raises(ValueError):
-            components_after_deletion(path(3), [0, 1, 2])
-        with pytest.raises(ValueError):
-            components_after_deletion(path(3), [5])
-
-
 class TestToughness:
     def test_star_third(self):
         value, witness = toughness(star(3))
@@ -86,7 +72,7 @@ class TestToughness:
         value, witness = toughness(petersen())
         assert value == Fraction(4, 3)
         assert len(witness.cut) == 4
-        assert components_after_deletion(petersen(), witness.cut) == 3
+        assert naive_component_count(10, petersen().edges(), witness.cut) == 3
         assert witness.ratio == Fraction(len(witness.cut), witness.components)
 
     def test_complete_graph_is_infinitely_tough(self):
@@ -154,7 +140,7 @@ class TestIsTauTough:
         ok, witness = is_tau_tough(g, Fraction(3, 2) + Fraction(1, 10**6))
         assert not ok
         assert witness.ratio < Fraction(3, 2) + Fraction(1, 10**6)
-        c = components_after_deletion(g, witness.cut)
+        c = naive_component_count(g.n, g.edges(), witness.cut)
         assert c == witness.components
         assert witness.ratio == Fraction(len(witness.cut), c - 1)
 
