@@ -95,11 +95,6 @@ class Graph:
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuples, derived from ``masks`` on every access."""
-        return tuple(_members(mask) for mask in self.masks)
-
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count()
 

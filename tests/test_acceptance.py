@@ -390,8 +390,8 @@ def test_criterion_7_lemma_sweeps():
         assert attempts < 5000, "rotation sampler failed to qualify 200 configs"
         g = connected_gnp(rng.randrange(8, 17), rng.uniform(0.25, 0.55), rng)
         v = rng.randrange(g.n)
-        neighbors = list(g.adj[v])
-        others = [w for w in range(g.n) if w != v and w not in g.adj[v]]
+        neighbors = [w for w in range(g.n) if g.masks[v] >> w & 1]
+        others = [w for w in range(g.n) if w != v and not g.masks[v] >> w & 1]
         if not neighbors or not others:
             continue
         s2 = rng.sample(neighbors, 1)
@@ -455,10 +455,11 @@ def run_seeded_artifacts() -> str:
     while len(rotations) < 25:
         g = connected_gnp(rng.randrange(8, 15), rng.uniform(0.3, 0.5), rng)
         v = rng.randrange(g.n)
-        others = [w for w in range(g.n) if w != v and w not in g.adj[v]]
-        if not g.adj[v] or not others:
+        others = [w for w in range(g.n) if w != v and not g.masks[v] >> w & 1]
+        if not g.masks[v] or not others:
             continue
-        report = rotation_experiment(g, [others[0]], [g.adj[v][0]], [v])
+        lowest = (g.masks[v] & -g.masks[v]).bit_length() - 1
+        report = rotation_experiment(g, [others[0]], [lowest], [v])
         rotations.append({"before": report.rho_before, "after": report.rho_after})
     artifacts["rotations"] = rotations
     rng = random.Random(MASTER_SEED + 2)

@@ -34,7 +34,7 @@ class TestGraphBasics:
 
     def test_adjacency_lists_sorted(self):
         g = Graph(4, [(3, 0), (1, 0), (2, 0)])
-        assert g.adj[0] == (1, 2, 3)
+        assert g.masks[0] == 0b1110
         assert g.degree(0) == 3
         assert g.degrees() == (3, 1, 1, 1)
         assert g.min_degree() == 1
@@ -128,8 +128,8 @@ class TestConstructors:
         assert g.n == 5 and g.m == 6
         # side X is 0..p-1, side Y is p..p+q-1
         assert bipartition_of(g).x == frozenset({0, 1})
-        assert g.adj[0] == (2, 3, 4)
-        assert g.adj[4] == (0, 1)
+        assert g.masks[0] == 0b11100
+        assert g.masks[4] == 0b00011
 
     def test_path_and_cycle(self):
         assert path(1).m == 0
@@ -169,8 +169,8 @@ class TestConstructors:
         # nonadjacent pairs share exactly 1
         for u in range(10):
             for v in range(u + 1, 10):
-                common = set(g.adj[u]) & set(g.adj[v])
-                assert len(common) == (0 if g.has_edge(u, v) else 1)
+                common = g.masks[u] & g.masks[v]
+                assert common.bit_count() == (0 if g.has_edge(u, v) else 1)
 
 
 class TestBipartite:
@@ -218,7 +218,8 @@ class TestBipartite:
         rng.shuffle(parts)
         g = disjoint_union(parts[: rng.randint(1, 5)])
         g = relabeled(Graph, g, rng.sample(range(g.n), g.n))
-        colouring = _naive_two_colouring({v: set(nbrs) for v, nbrs in enumerate(g.adj)})
+        colouring = _naive_two_colouring(
+            {v: {w for w in range(g.n) if mask >> w & 1} for v, mask in enumerate(g.masks)})
         sides = bipartition_of(g)
         if colouring is None:
             assert sides is None, g.edges()
@@ -266,7 +267,7 @@ def assert_built_as(built, n, edges):
         nbrs[v].add(u)
     assert built == Graph(n, edges)
     assert built.n == n and built.m == len(edges)
-    assert built.adj == tuple(tuple(sorted(s)) for s in nbrs)
+    assert built.masks == tuple(sum(1 << w for w in s) for s in nbrs)
     assert built.edges() == sorted((min(e), max(e)) for e in edges)
 
 
