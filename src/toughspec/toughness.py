@@ -251,9 +251,12 @@ def bipartite_toughness(
     shift = 1 if kind is ToughnessKind.VARIATION else 0
     if kind is ToughnessKind.VARIATION and not sides.is_balanced():
         raise ValueError("one-sided variation toughness requires a balanced bipartition")
-    best, witness = INFINITE, None
+    best = INFINITE
+    witness = None
     for label, side, other in (("X", sides.x, sides.y), ("Y", sides.y, sides.x)):
-        found, side_witness = _scan_min(g, sorted(side), shift, len(other))
+        universe = sorted(side)
+        found, side_witness = _scan_min(g, universe, shift, len(other))
         if found < best:
-            best, witness = found, replace(side_witness, side=label)
+            best = found
+            witness = replace(side_witness, side=label)
     return best, witness
