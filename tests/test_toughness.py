@@ -55,6 +55,18 @@ def star(leaves):
     return join(complete(1), empty(leaves))
 
 
+class TestComponentsAfterDeletion:
+    def test_basic(self):
+        # the component kernel counts G - cut from the mask of what remains
+        def count(g, cut):
+            remaining = (1 << g.n) - 1 & ~graphs.vertex_mask(cut)
+            return len(graphs.component_masks(g.masks, remaining))
+
+        assert count(path(5), [2]) == 2
+        assert count(path(5), []) == 1
+        assert count(star(3), [0]) == 3
+
+
 class TestToughness:
     def test_star_third(self):
         value, witness = toughness(star(3))
