@@ -9,25 +9,24 @@ exact rationals; complete graphs (and bipartite graphs no one-sided proper
 subset disconnects) get the distinguished INFINITE value, which compares
 greater than every finite ratio.
 
-Enumeration visits cuts by increasing size and lexicographically within a
-size, and the reported witness is always the first minimizer in that order,
-so results are deterministic.  The scan counts components itself, from
-neighbourhood-union tables built once per scan.  It skips only sizes where no
-cut can disconnect: below mu(G), the fewest common neighbours of a non-adjacent
-pair, since every cut separating u from v contains N(u) & N(v); and, for a
-one-sided cut, sizes whose bound needs more components than the other side has
-vertices, since every component of G - S then holds a vertex of that side.
+The scan goes by increasing size, and the reported witness is always the
+first minimizer in (size, lexicographic) order, so results are deterministic.
+The scan counts components itself, from neighbourhood-union tables built once
+per scan.  It skips only sizes where no cut can disconnect: below mu(G), the
+fewest common neighbours of a non-adjacent pair, since every cut separating u
+from v contains N(u) & N(v); and, for a one-sided cut, sizes whose bound needs
+more components than the other side has vertices, since every component of
+G - S then holds a vertex of that side.
 
 Twins, vertices with equal open or equal closed neighbourhoods
-(``graphs.twin_classes``), can be swapped by an automorphism, so every cut in
-one orbit of the twin swaps leaves as many components.  The orbit of a cut is
-fixed by how many members it takes from each class, and its lexicographically
-first cut takes the first members of each class.  When those orbits number at
-most a quarter of the cuts, prod (|C_i| + 1) <= 2^|U| / 4 over the scanned
-vertex set U, the scan visits that first cut alone, in the same order; the
-first minimizer and the first cut below a bound are always such cuts, so
-values and witnesses do not depend on which way the scan went.  With fewer
-twins, ``itertools.combinations`` visits every cut faster than the orbit walk.
+(``graphs.twin_classes``), can be swapped by an automorphism, so all cuts that
+take as many members from each twin class leave as many components, and the
+lexicographically first of them takes the first members of each class.  The
+scan visits that cut alone: each class-prefix head ORed with each
+``combinations`` set of the twin-free vertices.  The first minimizer and the
+first cut below a bound are such cuts, so values and witnesses are those of a
+scan over every cut.  A twin-free graph has one head, the empty one, and keeps
+the plain ``combinations`` loop in lexicographic order.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 
 from .graphs import Graph, _members, bipartition_of, twin_classes, vertex_mask
 
@@ -74,40 +73,41 @@ def _union_tables(masks):
     return half, *tables
 
 
-def _class_walk(universe, classes):
-    """(bit, class predecessor's bit or 0, class members from it on) for each
-    vertex of the ascending ``universe``, which ``classes`` partitions."""
-    pred, rest = {}, {}
-    for cls in classes:
-        for j, v in enumerate(cls):
-            pred[v], rest[v] = (1 << cls[j - 1] if j else 0), len(cls) - j
-    return [(1 << v, pred[v], rest[v]) for v in universe]
+def _heads(prefixes, k):
+    """The class-prefix heads of ``k`` vertices: an entry of each list in
+    ``prefixes`` (entry t holds the first t members of a twin class), k members
+    in all.  Partial heads are grouped by members taken; no group is made that
+    the later classes cannot fill, and the last class takes what is left."""
+    *first, last = prefixes
+    room = sum(map(len, prefixes)) - len(prefixes)
+    by_taken = {0: [0]}
+    for pre in first:
+        room -= len(pre) - 1
+        grown = {}
+        for taken, heads in by_taken.items():
+            lo = max(0, k - room - taken)
+            for t, bits in enumerate(pre[lo:k - taken + 1], lo):
+                grown.setdefault(taken + t, []).extend(map(bits.__or__, heads))
+        by_taken = grown
+    return [last[k - taken] | head for taken, heads in by_taken.items() for head in heads]
 
 
-def _prefix_cuts(walk, size):
-    """The class-prefix cuts of ``size`` vertices, as bitmasks in lexicographic
-    order: the first k_i members of each class C_i, with sum k_i = size.
-
-    The walk runs over ``_class_walk``'s vertices in order and tries taking a
-    vertex before skipping it; a vertex may be taken only once its class
-    predecessor is, so a skip closes the rest of its class.  ``avail`` counts
-    the vertices from ``i`` on whose class is still open, and a branch ends
-    when it is below ``need``.
-    """
-    stack = [(0, size, len(walk), 0)]
-    while stack:
-        i, need, avail, cut = stack.pop()
-        if not need:
-            yield cut
-            continue
-        if avail < need:
-            continue
-        bit, before, left = walk[i]
-        while before and not cut & before:  # its class closed at an earlier skip
-            i += 1
-            bit, before, left = walk[i]
-        stack.append((i + 1, need, avail - left, cut))
-        stack.append((i + 1, need - 1, avail - 1, cut | bit))
+def _cuts(prefixes, free, size, built):
+    """The class-prefix cuts of ``size`` vertices, in batches: the heads of each
+    member count k (kept in ``built`` while a later size needs them) ORed with
+    each ``combinations`` mask of size - k of the twin-free vertex bits
+    ``free``, the shorter side outermost; the combinations are never listed."""
+    room = sum(map(len, prefixes)) - len(prefixes)
+    for k in range(max(0, size - len(free)), min(size, room) + 1):
+        heads = built[k] if k in built else built.setdefault(k, _heads(prefixes, k))
+        if len(heads) <= math.comb(len(free), size - k):
+            for head in heads:
+                tails = map(sum, combinations(free, size - k))
+                yield map(head.__or__, tails) if head else tails  # twin-free: lexicographic
+        else:
+            for tail in map(sum, combinations(free, size - k)):
+                yield map(tail.__or__, heads)
+    built.pop(size - len(free), None)
 
 
 def _scan_min(g, universe, shift, cap, first_below=None):
@@ -123,41 +123,34 @@ def _scan_min(g, universe, shift, cap, first_below=None):
     Sizes stay below |universe|, so a one-sided cut never takes a whole side;
     a whole-graph scan needs no tighter stop, as at size n - 1 the best case
     is one component and the loop has already broken.
-    Within a size, cuts come in lexicographic order: every combination, or,
-    when the twin classes cut down to the universe leave at most a quarter of
-    its 2^|U| subsets as orbits (prod (|C_i| + 1) <= 2^|U| / 4), one cut per
-    orbit of the twin swaps, from ``_prefix_cuts``.  Each is the first of its
-    orbit, whose cuts all leave as many components, so the first minimizer
-    and the first cut below ``first_below`` are among them.
-    Skipped cuts all leave one component or cannot improve, so the first
-    strict minimizer is kept.  With ``first_below`` the scan instead stops at
-    the first cut whose ratio is below it.  Each BFS step is two
+    Within a size the scan visits ``_cuts``, one cut per orbit of the twin
+    swaps.  With twin classes they are not in lexicographic order, so a size
+    keeps its most components, ties going to the lexicographically smaller
+    cut, and a decision keeps its smallest violator and stops after the size;
+    without, a decision stops at its first violator.  Each BFS step is two
     ``_union_tables`` lookups; ratios are compared as integers with bn / bd
-    (1 / 0 for INFINITE), and only an improving cut builds a Fraction and a
-    witness.
+    (1 / 0 for INFINITE), and a witness is built once per improving size.
     """
     n, masks = g.n, g.masks
     full = (1 << n) - 1
     mu = min(((masks[u] & masks[v]).bit_count() for u in range(n) for v in range(u)
               if not masks[u] >> v & 1), default=0)
     inside = vertex_mask(universe)
-    classes = [cls for cls in ([v for v in c if inside >> v & 1] for c in twin_classes(g)) if cls]
-    orbits = 4 * math.prod(len(cls) + 1 for cls in classes) <= 1 << len(universe)
-    walk = _class_walk(universe, classes) if orbits else None
+    classes = [[1 << v for v in cls if inside >> v & 1] for cls in twin_classes(g)]
+    prefixes = [list(accumulate(cls, initial=0)) for cls in classes if len(cls) > 1]
+    free = [cls[0] for cls in classes if len(cls) == 1]
+    tie = 1 if prefixes and first_below is None else 0  # may precede the size's best
     half, lo, hi = _union_tables(masks)
     low = (1 << half) - 1
-    best = INFINITE if first_below is None else first_below
+    best, witness = INFINITE if first_below is None else first_below, None
     bn, bd = (1, 0) if best is INFINITE else (best.numerator, best.denominator)
-    witness = None
+    built = {0: [0]}  # heads by member count; a twin-free graph has only the empty one
     for size in range(max(1, mu), len(universe)):
         cmax = min(cap, n - size)
         if cmax < 2 or size * bd >= (cmax - shift) * bn:
             break
-        if orbits:
-            cuts = _prefix_cuts(walk, size)
-        else:
-            cuts = map(sum, combinations([1 << v for v in universe], size))
-        for cut in cuts:
+        at = None
+        for cut in chain.from_iterable(_cuts(prefixes, free, size, built)):
             rest = full ^ cut  # vertices of G - S not yet reached
             c = 0
             while rest:
@@ -168,21 +161,27 @@ def _scan_min(g, universe, shift, cap, first_below=None):
                     rest ^= frontier
                 c += 1
             d = c - shift
-            if c > 1 and size * bd < d * bn:
-                bn, bd = size, d
-                best = Fraction(size, d)
-                witness = CutWitness(frozenset(_members(cut)), c, best)
-                if first_below is not None:
-                    return best, witness
+            if c > 1 and size * bd < d * bn + tie:
+                # better, or as good and first lexicographically: holding at ^ cut's lowest bit
+                if (first_below is None or at is None) and size * bd < d * bn \
+                        or at is not None and (at ^ cut) & -(at ^ cut) & cut:
+                    at, at_c = cut, c
+                    if first_below is None:
+                        bn, bd = size, d
+                    elif not prefixes:
+                        break  # in lexicographic order the first violator is the smallest
+        if at is not None:
+            best = Fraction(size, at_c - shift)
+            witness = CutWitness(frozenset(_members(at)), at_c, best)
+            if first_below is not None:
+                break
     return best, witness
 
 
 def _check_cap(size: int) -> None:
     if size > ENUMERATION_CAP:
-        raise ValueError(
-            f"cut enumeration over {size} vertices exceeds the cap of "
-            f"{ENUMERATION_CAP} (2^n subsets)"
-        )
+        raise ValueError(f"cut enumeration over {size} vertices exceeds the cap of "
+                         f"{ENUMERATION_CAP} (2^n subsets)")
 
 
 def _require_connected(g: Graph) -> None:
@@ -217,10 +216,11 @@ def variation_toughness(g: Graph) -> tuple[Fraction | float, CutWitness | None]:
 def is_tau_tough(g: Graph, tau: Fraction | int) -> tuple[bool, CutWitness | None]:
     """Whether every disconnecting cut satisfies |S| >= tau * (c(G-S) - 1).
 
-    On failure the witness is the first violating cut in enumeration order,
-    which need not be the global minimizer; the verdict is what matters and
-    stopping early keeps dense graphs affordable, as does starting at size
-    mu(G) (see ``_scan_min``), below which no cut disconnects.
+    On failure the witness is the first violating cut in (size,
+    lexicographic) order, which need not be the global minimizer; the verdict
+    is what matters, and stopping after the first size with a violator keeps
+    dense graphs affordable, as does starting at size mu(G) (see
+    ``_scan_min``), below which no cut disconnects.
     """
     _, witness = _scan_graph(g, shift=1, first_below=Fraction(tau))
     return witness is None, witness
@@ -251,8 +251,7 @@ def bipartite_toughness(
     shift = 1 if kind is ToughnessKind.VARIATION else 0
     if kind is ToughnessKind.VARIATION and not sides.is_balanced():
         raise ValueError("one-sided variation toughness requires a balanced bipartition")
-    best = INFINITE
-    witness = None
+    best, witness = INFINITE, None
     for label, side, other in (("X", sides.x, sides.y), ("Y", sides.y, sides.x)):
         universe = sorted(side)
         found, side_witness = _scan_min(g, universe, shift, len(other))

@@ -21,7 +21,9 @@ import pytest
 from toughspec import cli
 from toughspec.bounds import BrouwerReport
 from toughspec.cli import COMMANDS, _num, build_parser, run
-from toughspec.families import FamilySpec, build_family, family_graph, matches_family
+from toughspec.families import (
+    FamilySpec, build_family, family_graph, matches_family, split_join,
+)
 from toughspec.graphio import GraphFormat, parse_graph, serialize_graph
 from toughspec.graphs import (
     complete, complete_bipartite, cycle, disjoint_union, empty, join, path, petersen,
@@ -466,6 +468,17 @@ class TestVerify:
         assert refusals == [
             "error: cut enumeration over a side of at least 23 vertices exceeds "
             "the cap of 22 (2^n subsets)\n"] * 2
+
+    def test_bip_int_counterexample_exits_two(self, capsys, graph_file):
+        # candidate B of bip-int (22, 2) plus the cross edge (11, 21); see
+        # test_verify's test_candidate_b_plus_a_cross_edge_is_a_bip_int_counterexample
+        target = graph_file(split_join(1, 10, 10, 1).with_edges([(11, 21)]))
+        code = run(["verify", "--in", target, "--theorem", "bip-int", "--n", "22", "--r", "2"])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "status=counterexample rho=10.505670320 threshold=10.492457578",
+            "witness cut: 1 2 3 4 5 6 7 8 9 10 (components=10)",
+        ]
 
     def test_counterexample_exits_two(self, capsys, monkeypatch, graph_file):
         verdict = Verdict(VerdictStatus.COUNTEREXAMPLE, 3.0, 2.5,

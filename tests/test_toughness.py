@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -503,10 +504,9 @@ class TestSizeWindow:
         def refuse(*args):
             raise AssertionError("the one-sided scan enumerated cuts")
 
-        # the 21-leaf side is one twin class, so it would take the orbit path;
-        # refuse both ways of enumerating, on both paths
+        # the 21-leaf side is one twin class; refuse enumerating with it as a
+        # class and, under plain_scan, as 21 twin-free vertices
         monkeypatch.setattr(TOUGHNESS_MODULE, "combinations", refuse)
-        monkeypatch.setattr(TOUGHNESS_MODULE, "_prefix_cuts", refuse)
         for g in (star(21), join(empty(21), complete(1))):
             assert bipartite_toughness(g, ToughnessKind.TOUGHNESS) == (INFINITE, None)
             with plain_scan():
@@ -555,10 +555,9 @@ def plain_scan():
                              lambda g: tuple((v,) for v in range(g.n)))
 
 
-def takes_orbit_path(g, universe):
-    inside = set(universe)
-    sizes = [len(inside.intersection(cls)) for cls in twin_classes(g)]
-    return 4 * math.prod(size + 1 for size in sizes) <= 1 << len(inside)
+def holds_twin_class(g, side):
+    """Whether ``side`` holds two members of one twin class of g."""
+    return any(len(side.intersection(cls)) > 1 for cls in twin_classes(g))
 
 
 def all_results(g, one_sided=False):
@@ -571,9 +570,9 @@ def all_results(g, one_sided=False):
 
 
 class TestOrbitScan:
-    """The scan visits one cut per orbit of the twin swaps when that removes at
-    least three quarters of the cuts; values, witnesses and component counts
-    stay those of the full enumeration."""
+    """The scan visits one cut per orbit of the twin swaps, class-prefix heads
+    times combinations of the twin-free vertices; values, witnesses and
+    component counts stay those of the full enumeration."""
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10**6))
@@ -600,14 +599,14 @@ class TestOrbitScan:
             assert got == all_results(g, bipartite)
 
     def test_one_sided_labels_above_24_match_the_plain_scan(self):
-        # 26-30 vertices, sides up to 15, both sides on the orbit path: masks pass bit 24
+        # 26-30 vertices, sides up to 15, each with twins and so heads: masks pass bit 24
         checked = 0
         for seed in range(1000):
             g = twin_substituted(seed, 30, bipartite=True, base_min=8, base_max=12)
             sides = bipartition_of(g)
             if g.n < 26 or max(len(sides.x), len(sides.y)) > 15:
                 continue
-            if not all(takes_orbit_path(g, side) for side in (sides.x, sides.y)):
+            if not all(holds_twin_class(g, side) for side in (sides.x, sides.y)):
                 continue
             got = [bipartite_toughness(g, kind) for kind, _ in one_sided_kinds(g)]
             with plain_scan():
@@ -626,25 +625,62 @@ class TestOrbitScan:
         g = Graph(27, edges)
         sides = bipartition_of(g)
         assert sides.x == frozenset(x)
-        assert all(takes_orbit_path(g, side) for side in (sides.x, sides.y))
+        assert all(holds_twin_class(g, side) for side in (sides.x, sides.y))
         assert_one_sided_matches_naive(g)
 
-    def test_selection_at_a_quarter_of_the_cuts(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the scan enumerated every combination")
+    def test_scan_visits_the_class_prefix_cuts_of_each_size(self, monkeypatch):
+        # combinations is asked only for twin-free vertices, and a full scan visits
+        # every class-prefix cut of each size it reaches, once; the twin-free
+        # Petersen graph has no class, so there it visits every C(10, k)
+        real_cuts, real_combinations = TOUGHNESS_MODULE._cuts, combinations
+        for g in (complete_bipartite(3, 3), complete_bipartite(1, 5),
+                  family_graph(FamilySpec.tough_int(14, 2)), petersen()):
+            classes = twin_classes(g)
+            free = {1 << cls[0] for cls in classes if len(cls) == 1}
+            visited = {}
 
-        # (classes + 1) products against 2^n / 4: K3,3 16 <= 16 and K1,5 12 <= 16 take
-        # the orbit path; K1,4 10 > 8 and the twin-free Petersen graph the plain one
-        orbit = [complete_bipartite(3, 3), complete_bipartite(1, 5),
-                 family_graph(FamilySpec.tough_int(14, 2))]
-        plain = [complete_bipartite(1, 4), petersen()]
-        expected = [all_results(g) for g in orbit]
-        assert [takes_orbit_path(g, range(g.n)) for g in orbit + plain] == [True] * 3 + [False] * 2
-        monkeypatch.setattr(TOUGHNESS_MODULE, "combinations", refuse)
-        assert [all_results(g) for g in orbit] == expected
-        for g in plain:
-            with pytest.raises(AssertionError, match="every combination"):
-                toughness(g)
+            def only_free(bits, r):
+                assert set(bits) <= free
+                return real_combinations(bits, r)
+
+            def recorded(prefixes, bits, size, built):
+                cuts = visited[size] = [cut for batch in real_cuts(prefixes, bits, size, built)
+                                        for cut in batch]
+                return [cuts]
+
+            monkeypatch.setattr(TOUGHNESS_MODULE, "combinations", only_free)
+            monkeypatch.setattr(TOUGHNESS_MODULE, "_cuts", recorded)
+            toughness(g)
+            monkeypatch.undo()
+            assert visited
+            for size, cuts in visited.items():
+                prefix_cuts = [graphs.vertex_mask(cut) for cut in combinations(range(g.n), size)
+                               if all(sorted(taken := [v in cut for v in cls], reverse=True) == taken
+                                      for cls in classes)]
+                assert sorted(cuts) == sorted(prefix_cuts)
+                if g.n == 10:
+                    assert len(cuts) == math.comb(10, size)
+
+    def test_eleven_part_cocktail_party_builds_heads_at_mu_only(self, monkeypatch):
+        # K2,...,2 with 11 parts: mu = 20, and every vertex has a twin; the scan
+        # must not build the 3^11 heads, only those of the one size that can
+        # disconnect (size 21 leaves one vertex, so the scan breaks there)
+        g = empty(2)
+        for _ in range(10):
+            g = join(g, empty(2))
+        assert common_neighbour_floor(g) == 20
+        asked = []
+        real_heads = TOUGHNESS_MODULE._heads
+
+        def recorded(prefixes, k):
+            asked.append(k)
+            return real_heads(prefixes, k)
+
+        monkeypatch.setattr(TOUGHNESS_MODULE, "_heads", recorded)
+        cut = frozenset(range(20))
+        assert toughness(g) == (Fraction(10), CutWitness(cut, 2, Fraction(10)))
+        assert variation_toughness(g) == (Fraction(20), CutWitness(cut, 2, Fraction(20)))
+        assert set(asked) <= {20, 21} and 20 in asked
 
 
 def test_results_are_reproducible():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toughspec.families import FamilySpec, family_graph, matches_family
+from toughspec.families import FamilySpec, family_graph, matches_family, split_join
 from toughspec.graphs import (
     bipartition_of,
     complete,
@@ -217,6 +217,17 @@ class TestVerdicts:
             family_graph(FamilySpec.bip_int_nondiv_b(22, 2)), t
         )
         assert winner.status is VerdictStatus.EXTREMAL
+
+    def test_candidate_b_plus_a_cross_edge_is_a_bip_int_counterexample(self):
+        # bip-int (22, 2): the winning candidate B, split_join(1, 10, 10, 1), with
+        # the X2-Y2 edge (11, 21) added has rho above the threshold, yet deleting
+        # Y1 = {1, ..., 10} leaves 10 components: one-sided variation 10/9 < 2
+        g = split_join(1, 10, 10, 1).with_edges([(11, 21)])
+        verdict = check_graph_against_theorem(g, TheoremId(Theorem.BIP_INT, 22, r=2))
+        assert verdict.status is VerdictStatus.COUNTEREXAMPLE
+        assert f"{verdict.rho:.9f} {verdict.threshold:.9f}" == "10.505670320 10.492457578"
+        assert verdict.witness == CutWitness(frozenset(range(1, 11)), 10, Fraction(10, 9), "Y")
+        revalidate_witness(g, verdict.witness, 2, bipartition_of(g))
 
     def test_counterexample_branch(self, monkeypatch):
         # force the family matcher to miss so the last branch is reachable:
