@@ -37,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 
-from .graphs import Graph, _members, bipartition_of, twin_classes, vertex_mask
+from .graphs import Graph, _members, bipartition_of, twin_classes
 
 INFINITE = math.inf  # sentinel: no disconnecting cut exists
 ENUMERATION_CAP = 22  # full scans are 2^n; anything larger is refused
@@ -73,15 +73,13 @@ def _union_tables(masks):
     return half, *tables
 
 
-def _heads(prefixes, k):
-    """The class-prefix heads of ``k`` vertices: an entry of each list in
-    ``prefixes`` (entry t holds the first t members of a twin class), k members
-    in all.  Partial heads are grouped by members taken; no group is made that
-    the later classes cannot fill, and the last class takes what is left."""
-    *first, last = prefixes
-    room = sum(map(len, prefixes)) - len(prefixes)
+def _heads(prefixes, k, room):
+    """The class-prefix heads of ``k`` of the ``room`` class members: an entry
+    of each list in ``prefixes`` (entry t holds the first t members of a twin
+    class), k members in all.  Partial heads are grouped by members taken, and
+    no group is made that the later classes cannot fill up to k."""
     by_taken = {0: [0]}
-    for pre in first:
+    for pre in prefixes:
         room -= len(pre) - 1
         grown = {}
         for taken, heads in by_taken.items():
@@ -89,7 +87,7 @@ def _heads(prefixes, k):
             for t, bits in enumerate(pre[lo:k - taken + 1], lo):
                 grown.setdefault(taken + t, []).extend(map(bits.__or__, heads))
         by_taken = grown
-    return [last[k - taken] | head for taken, heads in by_taken.items() for head in heads]
+    return by_taken[k]
 
 
 def _cuts(prefixes, free, size, built):
@@ -99,7 +97,7 @@ def _cuts(prefixes, free, size, built):
     ``free``, the shorter side outermost; the combinations are never listed."""
     room = sum(map(len, prefixes)) - len(prefixes)
     for k in range(max(0, size - len(free)), min(size, room) + 1):
-        heads = built[k] if k in built else built.setdefault(k, _heads(prefixes, k))
+        heads = built[k] if k in built else built.setdefault(k, _heads(prefixes, k, room))
         if len(heads) <= math.comb(len(free), size - k):
             for head in heads:
                 tails = map(sum, combinations(free, size - k))
@@ -111,7 +109,7 @@ def _cuts(prefixes, free, size, built):
 
 
 def _scan_min(g, universe, shift, cap, first_below=None):
-    """Minimum cut ratio over the proper subsets of ``universe``.
+    """Minimum cut ratio over the proper subsets of the vertex set ``universe``.
 
     Returns (best ratio, witness); the witness is None when no cut beats the
     starting bound, which is INFINITE or ``first_below``.  Sizes start at
@@ -135,15 +133,15 @@ def _scan_min(g, universe, shift, cap, first_below=None):
     full = (1 << n) - 1
     mu = min(((masks[u] & masks[v]).bit_count() for u in range(n) for v in range(u)
               if not masks[u] >> v & 1), default=0)
-    inside = vertex_mask(universe)
-    classes = [[1 << v for v in cls if inside >> v & 1] for cls in twin_classes(g)]
+    classes = [[1 << v for v in cls if v in universe] for cls in twin_classes(g)]
     prefixes = [list(accumulate(cls, initial=0)) for cls in classes if len(cls) > 1]
     free = [cls[0] for cls in classes if len(cls) == 1]
-    tie = 1 if prefixes and first_below is None else 0  # may precede the size's best
+    tie = 1 if prefixes and first_below is None else 0  # an equal cut may come first
     half, lo, hi = _union_tables(masks)
     low = (1 << half) - 1
-    best, witness = INFINITE if first_below is None else first_below, None
+    best = INFINITE if first_below is None else first_below
     bn, bd = (1, 0) if best is INFINITE else (best.numerator, best.denominator)
+    witness = None
     built = {0: [0]}  # heads by member count; a twin-free graph has only the empty one
     for size in range(max(1, mu), len(universe)):
         cmax = min(cap, n - size)
@@ -180,8 +178,10 @@ def _scan_min(g, universe, shift, cap, first_below=None):
 
 def _check_cap(size: int) -> None:
     if size > ENUMERATION_CAP:
-        raise ValueError(f"cut enumeration over {size} vertices exceeds the cap of "
-                         f"{ENUMERATION_CAP} (2^n subsets)")
+        raise ValueError(
+            f"cut enumeration over {size} vertices exceeds the cap of "
+            f"{ENUMERATION_CAP} (2^n subsets)"
+        )
 
 
 def _require_connected(g: Graph) -> None:
@@ -251,10 +251,10 @@ def bipartite_toughness(
     shift = 1 if kind is ToughnessKind.VARIATION else 0
     if kind is ToughnessKind.VARIATION and not sides.is_balanced():
         raise ValueError("one-sided variation toughness requires a balanced bipartition")
-    best, witness = INFINITE, None
+    best = INFINITE
+    witness = None
     for label, side, other in (("X", sides.x, sides.y), ("Y", sides.y, sides.x)):
-        universe = sorted(side)
-        found, side_witness = _scan_min(g, universe, shift, len(other))
+        found, side_witness = _scan_min(g, side, shift, len(other))
         if found < best:
             best = found
             witness = replace(side_witness, side=label)

@@ -555,11 +555,6 @@ def plain_scan():
                              lambda g: tuple((v,) for v in range(g.n)))
 
 
-def holds_twin_class(g, side):
-    """Whether ``side`` holds two members of one twin class of g."""
-    return any(len(side.intersection(cls)) > 1 for cls in twin_classes(g))
-
-
 def all_results(g, one_sided=False):
     """Every quantity the cut scan serves, with its witness."""
     results = [toughness(g), variation_toughness(g)]
@@ -606,7 +601,8 @@ class TestOrbitScan:
             sides = bipartition_of(g)
             if g.n < 26 or max(len(sides.x), len(sides.y)) > 15:
                 continue
-            if not all(holds_twin_class(g, side) for side in (sides.x, sides.y)):
+            if not all(any(len(side.intersection(cls)) > 1 for cls in twin_classes(g))
+                       for side in (sides.x, sides.y)):
                 continue
             got = [bipartite_toughness(g, kind) for kind, _ in one_sided_kinds(g)]
             with plain_scan():
@@ -625,7 +621,8 @@ class TestOrbitScan:
         g = Graph(27, edges)
         sides = bipartition_of(g)
         assert sides.x == frozenset(x)
-        assert all(holds_twin_class(g, side) for side in (sides.x, sides.y))
+        assert all(any(len(side.intersection(cls)) > 1 for cls in twin_classes(g))
+                   for side in (sides.x, sides.y))
         assert_one_sided_matches_naive(g)
 
     def test_scan_visits_the_class_prefix_cuts_of_each_size(self, monkeypatch):
@@ -672,9 +669,9 @@ class TestOrbitScan:
         asked = []
         real_heads = TOUGHNESS_MODULE._heads
 
-        def recorded(prefixes, k):
+        def recorded(prefixes, k, room):
             asked.append(k)
-            return real_heads(prefixes, k)
+            return real_heads(prefixes, k, room)
 
         monkeypatch.setattr(TOUGHNESS_MODULE, "_heads", recorded)
         cut = frozenset(range(20))
