@@ -1,8 +1,7 @@
 """Graph toughness and spectral-radius toolkit.
 
 Exact toughness by cut enumeration, spectral radii by the dense symmetric
-eigensolver for components of at most 24 vertices (and for any component
-the power iteration does not settle) and by power iteration above,
+eigensolver on each component (O(n^3), refused past 1,000 vertices),
 rational quotient-matrix characteristic polynomials, the extremal families
 attaining the spectral toughness thresholds, classical upper bounds, and
 randomized theorem verification.
@@ -20,7 +19,6 @@ from .families import (
     Family,
     FamilySpec,
     bip_block_sizes,
-    build_family,
     clique_with_satellites,
     family_graph,
     matches_family,

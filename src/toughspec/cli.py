@@ -130,13 +130,8 @@ def _int_list(text: str, flag: str, items: str = "vertices") -> list[int]:
 
 
 def cmd_rho(ns):
-    result = spectral_radius(_graph(ns))
-    payload = {
-        "rho": result.radius,
-        "iterations": result.iterations,
-        "residual": result.residual,
-    }
-    return 0, payload, [f"{_num(result.radius):.9f}"]
+    radius = spectral_radius(_graph(ns)).radius
+    return 0, {"rho": radius}, [f"{_num(radius):.9f}"]
 
 
 def cmd_spectrum(ns):

@@ -191,16 +191,13 @@ def clique_with_satellites(s: int, c: int, t: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def build_family(spec: FamilySpec) -> Graph:
+def family_graph(spec: FamilySpec) -> Graph:
     """Construct the family graph."""
     spec.validate()
     if spec.family in (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA):
         s, c, t = tough_block_sizes(spec)
         return clique_with_satellites(s, c, t)
     return split_join(*bip_block_sizes(spec))
-
-
-family_graph = build_family  # one call under both public names
 
 
 def quotient_partition(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
@@ -235,7 +232,7 @@ def matches_family(g: Graph, spec: FamilySpec) -> bool:
     The family graph is connected, so the bipartition is unique up to the
     order of the sides.
     """
-    target = build_family(spec)
+    target = family_graph(spec)
     if g.n != target.n or sorted(g.degrees()) != sorted(target.degrees()):
         return False
     if spec.family in (Family.TOUGH_INT, Family.TOUGH_FRAC_DELTA):

@@ -1,15 +1,14 @@
 """Adjacency spectra: the spectral radius, the Perron vector, full spectra, and
 exact rational quotient-matrix characteristic polynomials.
 
-``spectral_radius`` solves each component on at most ``SMALL_ORDER`` vertices
-for its top eigenvalue alone, by ``np.linalg.eigvalsh``; larger ones run a power
-iteration on A + I in three vectors allocated once per call, bit-identical to a
-loop that allocates every intermediate.  The shift shrinks the -lambda_1 mode of
-a bipartite graph only by (lambda_1 - 1)/(lambda_1 + 1) per step: the
-criterion-3 grid's bipartite families with 300 <= n <= 400 take 1,189-2,069
-steps (25 ms at n = 402 on a 2-core x86-64 host).  Past ``MAX_ITERATIONS`` steps
-(a long path needs about 0.36 n^2) ``eigvalsh`` answers.  No radius route keeps
-an eigenvector; ``perron_vector`` gets one from ``np.linalg.eigh``.  Every route
+``spectral_radius`` takes each component's top eigenvalue from
+``np.linalg.eigvalsh`` on that component's dense matrix: one route, O(k^3) time
+and a working copy of the k x k matrix for a component on k vertices.  On a
+2-core x86-64 host that is 8.6 ms for the n = 402 bip-frac graph and 76 ms for
+a 1,000-vertex path, where a power iteration on A + I needs thousands of steps,
+but 7.3 ms for tough-int(400, 2) and 78 ms for a 1,000-vertex G(n, 1/2), which
+such an iteration settles in 0.4 and 3.1 ms.  No radius route keeps an
+eigenvector; ``perron_vector`` gets one from ``np.linalg.eigh``.  Every route
 holds a dense n x n matrix, so each refuses over ``DENSE_CAP`` vertices (per
 component for the radius) with ValueError first.
 
@@ -22,7 +21,6 @@ root lies in (x - h, x + h] for some h <= RADIUS_TOL * max(1, |x|).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -31,13 +29,9 @@ import numpy as np
 
 from .graphs import Graph, _members, component_masks, vertex_mask
 
-RADIUS_TOL = 1e-10  # radius residual; also bounds the root certificate
-MAX_ITERATIONS = 10_000  # about 5x the criterion-3 grid's worst, 2,069 steps
+RADIUS_TOL = 1e-10  # bounds the root certificate
 _NEWTON_STEPS = 200  # cap on the float and on the exact Newton steps of a root
 DENSE_CAP = 1000
-SMALL_ORDER = 24  # eigvalsh: 15 / 28-39 / 44-68 us at n = 16 / 24 / 32, against 78-345 /
-# 70-460 / 65-287 us for the power iteration on six connected G(n, p) each (2-core x86-64);
-# it wins past 24 too, but kept here while the benchmark's peak memory grows with throughput
 
 
 class RootIsolationError(ValueError):
@@ -46,73 +40,25 @@ class RootIsolationError(ValueError):
 
 @dataclass
 class SpectralResult:
-    """Spectral radius; ``iterations`` sums the power iteration's steps, with
-    ``MAX_ITERATIONS`` for a component that ran out, and ``residual`` is the
-    largest max |A x - radius x| over the components it settled, 0.0 where
-    ``eigvalsh`` answered.  No eigenvector is kept: see ``perron_vector``."""
+    """Spectral radius.  No eigenvector is kept: see ``perron_vector``."""
 
     radius: float
-    iterations: int
-    residual: float
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix, unpacked row by row from the neighbour masks.
-
-    Rows are padded to a multiple of 8 entries and start on 64-byte boundaries:
-    BLAS matrix-vector products run about a quarter slower on rows that do not.
-    """
+    """Dense 0/1 adjacency matrix, unpacked row by row from the neighbour masks."""
     width = (g.n + 7) // 8
     raw = b"".join(mask.to_bytes(width, "little") for mask in g.masks)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width)
-    bits = np.unpackbits(rows, axis=1, bitorder="little")  # zero-padded to 8 * width
-    buf = np.empty(bits.size + 7)
-    start = -(buf.ctypes.data // 8) % 8  # malloc's offset varies with heap history
-    a = buf[start : start + bits.size].reshape(bits.shape)
-    a[...] = bits
-    return a[:, : g.n]
-
-
-def _dense(a: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric ``a``, by ``np.linalg.eigvalsh``."""
-    return float(np.linalg.eigvalsh(a)[-1])
-
-
-def _power_iteration(a: np.ndarray):
-    """(radius, unit vector, steps, max |a x - radius x|) for the symmetric 0/1 ``a``.
-
-    Iterates on a + I from the all-ones vector: the shift breaks the +/-lambda
-    oscillation on bipartite graphs and makes a connected graph's top eigenvalue
-    strictly dominant.  Past ``MAX_ITERATIONS`` steps ``_dense`` gives the
-    radius, with residual 0.0 beside the last iterate.
-    Each step writes into three vectors allocated once per call; the norm is
-    sqrt(y . y), which is what ``np.linalg.norm`` computes for a float vector.
-    """
-    n = a.shape[0]
-    x = np.full(n, 1.0 / np.sqrt(n))
-    z, y, scratch = np.empty(n), np.empty(n), np.empty(n)
-    np.matmul(a, x, out=z)
-    for it in range(MAX_ITERATIONS):
-        lam = float(np.dot(x, z))
-        np.multiply(x, lam, out=scratch)
-        np.subtract(z, scratch, out=scratch)
-        np.absolute(scratch, out=scratch)
-        residual = float(scratch.max())
-        if residual <= RADIUS_TOL:
-            return lam, x, it, residual
-        np.add(z, x, out=y)
-        np.divide(y, math.sqrt(np.dot(y, y)), out=x)
-        np.matmul(a, x, out=z)
-    return _dense(a), x, MAX_ITERATIONS, 0.0
+    return np.unpackbits(rows, axis=1, count=g.n, bitorder="little").astype(float)
 
 
 def spectral_radius(g: Graph) -> SpectralResult:
-    """Spectral radius of the adjacency matrix: the maximum over components.
+    """Spectral radius of the adjacency matrix: the maximum over components,
+    each the top eigenvalue from ``eigvalsh``.
 
-    Components on at most ``SMALL_ORDER`` vertices go to ``eigvalsh``, larger
-    ones to the power iteration.  A connected graph is solved on its own
-    matrix.  A component on more than ``DENSE_CAP`` vertices raises ValueError
-    before any matrix is allocated.
+    A connected graph is solved on its own matrix.  A component on more than
+    ``DENSE_CAP`` vertices raises ValueError before any matrix is allocated.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
@@ -122,14 +68,12 @@ def spectral_radius(g: Graph) -> SpectralResult:
         raise ValueError(
             f"spectral radius capped at components of <= {DENSE_CAP} vertices, got {largest}"
         )
-    best, iters, worst = 0.0, 0, 0.0
+    best = 0.0
     for comp in comps:
-        if comp.bit_count() == 1:
-            continue
-        a = adjacency_matrix(g if len(comps) == 1 else g.induced(_members(comp)))
-        lam, _, it, res = _power_iteration(a) if len(a) > SMALL_ORDER else (_dense(a), None, 0, 0.0)
-        best, iters, worst = max(best, lam), iters + it, max(worst, res)
-    return SpectralResult(best, iters, worst)
+        if comp.bit_count() > 1:
+            a = adjacency_matrix(g if len(comps) == 1 else g.induced(_members(comp)))
+            best = max(best, float(np.linalg.eigvalsh(a)[-1]))
+    return SpectralResult(best)
 
 
 def perron_vector(g: Graph) -> np.ndarray:

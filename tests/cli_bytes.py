@@ -6,7 +6,12 @@ invocations, each with its exit code, stdout and stderr.
 writes ``{argv: [exit, stdout, stderr]}``, argv joined by spaces, in a fixed
 order.  Two checkouts print the same bytes on every invocation exactly when
 their two files are equal, so comparing a change with its parent is one
-``cmp``.  The set covers every subcommand in text and with ``--json``: all four
+``cmp``.  To see which invocations differ,
+
+    PYTHONPATH=src python tests/cli_bytes.py --diff OLD.json NEW.json
+
+prints the argv of each one whose [exit, stdout, stderr] is not the same in
+both files (or that only one file lists), and exits 1 if any differ.  The set covers every subcommand in text and with ``--json``: all four
 ``tough`` kinds, ``verify`` under five theorem settings, ``search --json`` at
 seeds 0-3, and the refusal inputs (a 45-cycle, K44, a ``200000 0`` header and
 the 46-vertex bip-frac graph).
@@ -298,9 +303,25 @@ def record(rec):
         rec.run(argv)
 
 
+def differing(old, new):
+    """Argv keys, in record order, whose [exit, stdout, stderr] differ or that
+    only one of the two records lists."""
+    return [key for key in {**old, **new} if old.get(key) != new.get(key)]
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "--diff":
+        records = []
+        for path in argv[2:]:
+            with open(path, encoding="utf-8") as handle:
+                records.append(json.load(handle))
+        keys = differing(*records)
+        for key in keys:
+            print(key)
+        raise SystemExit(1 if keys else 0)
     if len(argv) != 2:
-        raise SystemExit("usage: PYTHONPATH=src python tests/cli_bytes.py OUT.json")
+        raise SystemExit("usage: PYTHONPATH=src python tests/cli_bytes.py OUT.json\n"
+                         "       PYTHONPATH=src python tests/cli_bytes.py --diff OLD.json NEW.json")
     target = os.path.abspath(argv[1])
     rec = Recorder()
     here = os.getcwd()

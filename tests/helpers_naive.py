@@ -230,25 +230,3 @@ def _naive_two_colouring(adj):
                 elif colour[w] == colour[u]:
                     return None
     return colour
-
-
-def naive_power_iteration(a):
-    """The allocating power-iteration loop on a + I, as (radius, Perron
-    vector, iterations, residual): a fresh array per operation and the norm
-    from ``np.linalg.norm``.  The in-place kernel must match it bit for bit."""
-    import numpy as np
-
-    from toughspec.spectra import MAX_ITERATIONS, RADIUS_TOL
-
-    n = a.shape[0]
-    x = np.full(n, 1.0 / np.sqrt(n))
-    z = a @ x
-    for it in range(MAX_ITERATIONS):
-        lam = float(x @ z)
-        residual = float(np.max(np.abs(z - lam * x)))
-        if residual <= RADIUS_TOL:
-            return lam, x, it, residual
-        y = z + x
-        x = y / np.linalg.norm(y)
-        z = a @ x
-    raise AssertionError("naive power iteration did not converge")

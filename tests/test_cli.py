@@ -22,7 +22,7 @@ from toughspec import cli
 from toughspec.bounds import BrouwerReport
 from toughspec.cli import COMMANDS, _num, build_parser, run
 from toughspec.families import (
-    FamilySpec, build_family, family_graph, matches_family, split_join,
+    FamilySpec, family_graph, matches_family, split_join,
 )
 from toughspec.graphio import GraphFormat, parse_graph, serialize_graph
 from toughspec.graphs import (
@@ -88,8 +88,7 @@ class TestRho:
                     "--json"])
         assert code == 0
         payload = canonical_json(capsys.readouterr().out)
-        assert set(payload) == {"rho", "iterations", "residual"}
-        assert payload["residual"] <= 1e-10
+        assert set(payload) == {"rho"}
         # blocks (1, 5, 7, 3): largest root of x^4 - 43x^2 + 105
         assert payload["rho"] == pytest.approx(
             math.sqrt((43 + math.sqrt(43 * 43 - 4 * 105)) / 2), abs=1e-8
@@ -771,3 +770,26 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "12.006444912\n"
+
+
+class TestByteRecordDiff:
+    def test_lists_each_invocation_that_differs(self, tmp_path, capsys):
+        import cli_bytes
+
+        old = {"rho --in a.txt": [0, "2.0\n", ""], "rho --in a.txt --json": [0, "{}\n", ""],
+               "tough --in a.txt": [1, "", "error: x\n"], "gone": [0, "", ""]}
+        new = {"rho --in a.txt": [0, "2.0\n", ""], "rho --in a.txt --json": [0, "{ }\n", ""],
+               "tough --in a.txt": [0, "", "error: x\n"], "added": [0, "", ""]}
+        paths = []
+        for name, record in (("old.json", old), ("new.json", new)):
+            paths.append(str(tmp_path / name))
+            (tmp_path / name).write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_:
+            cli_bytes.main(["cli_bytes.py", "--diff", *paths])
+        assert exit_.value.code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "rho --in a.txt --json", "tough --in a.txt", "gone", "added"]
+        with pytest.raises(SystemExit) as exit_:
+            cli_bytes.main(["cli_bytes.py", "--diff", paths[0], paths[0]])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == ""

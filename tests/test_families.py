@@ -8,7 +8,6 @@ from toughspec.families import (
     Family,
     FamilySpec,
     bip_block_sizes,
-    build_family,
     clique_with_satellites,
     family_graph,
     matches_family,
@@ -105,14 +104,14 @@ class TestValidation:
 
 class TestConstruction:
     def test_bipartite_families_carry_sides(self):
-        g = build_family(FamilySpec.bip_frac(16, 2))
+        g = family_graph(FamilySpec.bip_frac(16, 2))
         sides = bipartition_of(g)
         assert sides.y == frozenset(range(g.n)) - sides.x
         assert all((u in sides.x) != (v in sides.x) for u, v in g.edges())
         assert sides.is_balanced()
 
     def test_clique_families_are_plain_graphs(self):
-        built = build_family(FamilySpec.tough_int(14, 2))
+        built = family_graph(FamilySpec.tough_int(14, 2))
         assert isinstance(built, Graph)
 
     def test_split_join_blocks_in_order(self):

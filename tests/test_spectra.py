@@ -21,12 +21,9 @@ from toughspec.graphs import (
 from toughspec.randoms import balanced_bipartite_gnp, connected_gnp, gnp
 from toughspec.spectra import (
     DENSE_CAP,
-    MAX_ITERATIONS,
     RADIUS_TOL,
-    SMALL_ORDER,
     CharPoly,
     RootIsolationError,
-    _power_iteration,
     adjacency_matrix,
     char_poly,
     full_spectrum,
@@ -37,7 +34,7 @@ from toughspec.spectra import (
     spectral_radius,
 )
 
-from helpers_naive import naive_power_iteration, sympy_char_poly_coeffs, sympy_root_bracket
+from helpers_naive import sympy_char_poly_coeffs, sympy_root_bracket
 
 
 def _product(roots):
@@ -55,7 +52,6 @@ class TestSpectralRadius:
     def test_complete_graph(self):
         res = spectral_radius(complete(5))
         assert res.radius == pytest.approx(4.0, abs=1e-9)
-        assert res.residual <= 1e-10
         # Perron vector of K_n is uniform
         assert np.allclose(perron_vector(complete(5)), 1 / math.sqrt(5), atol=1e-6)
 
@@ -119,7 +115,7 @@ class TestSpectralRadius:
             perron_vector(g)
 
 
-def _bit_identity_graphs():
+def _sample_graphs():
     yield from (family_graph(spec) for spec in (
         FamilySpec.tough_int(14, 2),
         FamilySpec.tough_frac_delta(16, 1, 2),
@@ -135,61 +131,35 @@ def _bit_identity_graphs():
         yield balanced_bipartite_gnp(4 + 2 * (seed % 19), 0.1 + seed % 9 / 10, seed)
 
 
-def test_power_iteration_matches_the_allocating_loop_bit_for_bit():
-    """The in-place kernel makes the same floating-point operations in the same
-    order as a loop that allocates every intermediate, so every iterate is
-    the same, on any BLAS."""
-    for g in _bit_identity_graphs():
-        for comp in g.components():
-            if len(comp) == 1:
-                continue
-            a = adjacency_matrix(g.induced(comp))
-            lam, x, it, res = _power_iteration(a)
-            want_lam, want_x, want_it, want_res = naive_power_iteration(a)
-            assert (lam.hex(), it, res.hex()) == (want_lam.hex(), want_it, want_res.hex()), g
-            assert np.array_equal(x, want_x), g
-
-
 def test_small_components_take_the_dense_solver():
-    """Up to SMALL_ORDER vertices the radius comes from eigvalsh, with no power
-    iteration, and agrees with both the power iteration and the spectrum."""
-    for g in _bit_identity_graphs():
+    """Every component's radius agrees with the full spectrum, and its Perron
+    vector is a positive unit vector."""
+    for g in _sample_graphs():
         for comp in g.components():
-            if len(comp) > SMALL_ORDER:
-                continue
             h = g.induced(comp)
             res = spectral_radius(h)
-            assert res.iterations == 0 and res.residual <= RADIUS_TOL, comp
-            scale = 1e-12 * max(1.0, res.radius)
-            assert abs(res.radius - _power_iteration(adjacency_matrix(h))[0]) <= scale
-            assert abs(res.radius - max(full_spectrum(h))) <= scale
+            assert abs(res.radius - max(full_spectrum(h))) <= 1e-12 * max(1.0, res.radius)
             x = perron_vector(h)
             assert abs(np.linalg.norm(x) - 1.0) <= 1e-12 and (x > 0).all()
 
 
 def test_small_components_take_the_eigenvalue_alone():
-    """On components of at most SMALL_ORDER vertices the radius is eigvalsh's top
-    eigenvalue: no power-iteration step, residual 0.0, and within
+    """Every component's radius is eigvalsh's top eigenvalue: within
     1e-12 max(1, radius) of eigh's top eigenvalue and of the full spectrum's
     maximum, with the same 9-decimal text."""
-    graphs = [g.induced(comp) for g in _bit_identity_graphs()
-              for comp in g.components() if len(comp) <= SMALL_ORDER]
+    graphs = [g.induced(comp) for g in _sample_graphs() for comp in g.components()]
     graphs += [connected_gnp(3 + seed % 22, 0.3 + seed % 7 / 10, seed) for seed in range(1100)]
     for h in graphs:
         res = spectral_radius(h)
-        assert res.iterations == 0 and res.residual == 0.0, h
         top = float(np.linalg.eigh(adjacency_matrix(h))[0][-1])
         for want in (top, max(full_spectrum(h))):
             assert abs(res.radius - want) <= 1e-12 * max(1.0, res.radius), h
             assert f"{res.radius:.9f}" == f"{want:.9f}", h
 
 
-def test_unconverged_power_iteration_falls_back_to_the_dense_solver():
-    res = spectral_radius(path(300))  # about 42,600 steps to converge
-    assert res.iterations == MAX_ITERATIONS
-    assert res.residual == 0.0
-    assert abs(res.radius - 2 * math.cos(math.pi / 301)) <= 1e-12
-    assert (perron_vector(path(300)) > 0).all()
+@pytest.mark.parametrize("n", [300, DENSE_CAP])
+def test_path_radius_is_the_closed_form(n):
+    assert abs(spectral_radius(path(n)).radius - 2 * math.cos(math.pi / (n + 1))) <= 1e-12
 
 
 def test_perron_vector_of_a_path_is_the_closed_form():
@@ -402,8 +372,8 @@ class TestLargestRealRoot:
         FamilySpec.bip_int_div(20, 2),
         FamilySpec.bip_frac(16, 2),
     ])
-    def test_quotient_root_certifies_power_iteration(self, spec):
-        """Exact-polynomial route and iterative route agree on the families."""
+    def test_quotient_root_certifies_the_radius(self, spec):
+        """Exact-polynomial route and eigensolver route agree on the families."""
         g = family_graph(spec)
         q = quotient_matrix(g, quotient_partition(spec))
         assert q.equitable
@@ -414,18 +384,11 @@ class TestLargestRealRoot:
 def test_adjacency_matrix_symmetry():
     a = adjacency_matrix(path(3))
     assert a.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 101])
-def test_adjacency_matrix_rows_start_on_cache_lines(n):
-    # BLAS matrix-vector products slow down on rows that straddle cache
-    # lines, so where the allocator puts the matrix must not decide how long
-    # a power iteration takes
-    g = gnp(n, 0.5, seed=n)
-    a = adjacency_matrix(g)
-    assert a.dtype == np.float64 and a.shape == (n, n) and a.strides[1] == 8
-    assert a.ctypes.data % 64 == 0 and a.strides[0] % 64 == 0
-    want = np.zeros((n, n))
-    for u, v in g.edges():
-        want[u, v] = want[v, u] = 1.0
-    assert np.array_equal(a, want)
+    for n in (1, 7, 8, 9, 30, 101):
+        g = gnp(n, 0.5, seed=n)
+        a = adjacency_matrix(g)
+        assert a.dtype == np.float64 and a.shape == (n, n)
+        want = np.zeros((n, n))
+        for u, v in g.edges():
+            want[u, v] = want[v, u] = 1.0
+        assert np.array_equal(a, want)
