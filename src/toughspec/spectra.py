@@ -4,10 +4,10 @@ exact rational quotient-matrix characteristic polynomials.
 ``spectral_radius`` takes each component's top eigenvalue from
 ``np.linalg.eigvalsh`` on that component's dense matrix: one route, O(k^3) time
 and a working copy of the k x k matrix for a component on k vertices.  On a
-2-core x86-64 host that is 8.6 ms for the n = 402 bip-frac graph and 76 ms for
+2-core x86-64 host that is 11 ms for the n = 402 bip-frac graph and 83 ms for
 a 1,000-vertex path, where a power iteration on A + I needs thousands of steps,
-but 7.3 ms for tough-int(400, 2) and 78 ms for a 1,000-vertex G(n, 1/2), which
-such an iteration settles in 0.4 and 3.1 ms.  No radius route keeps an
+but 9.9 ms for tough-int(400, 2) and 80 ms for a 1,000-vertex G(n, 1/2), which
+such an iteration settles in 0.65 and 3.4 ms.  No radius route keeps an
 eigenvector; ``perron_vector`` gets one from ``np.linalg.eigh``.  Every route
 holds a dense n x n matrix, so each refuses over ``DENSE_CAP`` vertices (per
 component for the radius) with ValueError first.
